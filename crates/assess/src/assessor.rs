@@ -68,39 +68,6 @@ impl AnySampler {
     }
 }
 
-/// Lane width of the route-and-check kernel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BatchWidth {
-    /// One round per operation — the reference path every batched width is
-    /// proven bit-identical to.
-    Scalar,
-    /// 64 rounds per operation through the word-granular Router API (PR 2's
-    /// kernel, kept as the degenerate wide width).
-    Word64,
-    /// 256 rounds per operation through the wide Router API (the default).
-    Wide256,
-}
-
-impl BatchWidth {
-    /// Rounds processed per kernel operation.
-    pub fn lanes(self) -> usize {
-        match self {
-            BatchWidth::Scalar => 1,
-            BatchWidth::Word64 => 64,
-            BatchWidth::Wide256 => WideWord::LANES,
-        }
-    }
-
-    /// Name used in benchmark reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            BatchWidth::Scalar => "scalar",
-            BatchWidth::Word64 => "word64",
-            BatchWidth::Wide256 => "batched",
-        }
-    }
-}
-
 /// Per-stage wall-clock breakdown of one assessment.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Timings {
@@ -174,11 +141,10 @@ pub struct Assessor {
     /// fault-tree collapsing — forced failures flow through the full
     /// correlated-failure path (what-if analyses, sensitivity reports).
     injector: Option<FaultInjector>,
-    /// Route-and-check lane width: 256 lanes by default, with the 64-lane
-    /// and scalar paths kept selectable — all widths are bit-identical;
-    /// the narrower ones exist for equivalence tests and width-vs-width
-    /// benchmarking.
-    width: BatchWidth,
+    /// Route-and-check path: the 256-lane wide kernel (default) or the
+    /// scalar one. Both are bit-identical; the scalar path is the test
+    /// oracle and the benchmark reference.
+    batched: bool,
     /// Cached global-registry instrument handles (stage histograms,
     /// rounds counter, cache_bytes gauge).
     obs: AssessInstruments,
@@ -281,7 +247,7 @@ impl Assessor {
             arena,
             table_cache: None,
             injector: None,
-            width: BatchWidth::Wide256,
+            batched: true,
             obs: AssessInstruments::from_global(),
         }
     }
@@ -327,22 +293,12 @@ impl Assessor {
     /// route-and-check path. Both produce bit-identical assessments; the
     /// scalar path exists for equivalence tests and benchmarking.
     pub fn set_batched(&mut self, batched: bool) {
-        self.width = if batched { BatchWidth::Wide256 } else { BatchWidth::Scalar };
+        self.batched = batched;
     }
 
-    /// True when a batched (64- or 256-lane) route-and-check path is active.
+    /// True when the batched (256-lane) route-and-check path is active.
     pub fn batched(&self) -> bool {
-        self.width != BatchWidth::Scalar
-    }
-
-    /// Selects an explicit kernel lane width.
-    pub fn set_width(&mut self, width: BatchWidth) {
-        self.width = width;
-    }
-
-    /// The active kernel lane width.
-    pub fn width(&self) -> BatchWidth {
-        self.width
+        self.batched
     }
 
     /// Bytes held by the reusable per-chunk scratch arena (raw +
@@ -367,37 +323,24 @@ impl Assessor {
     /// cached-table paths, in both scalar and batched flavors.
     fn route_and_check(
         router: &mut dyn Router,
-        width: BatchWidth,
+        batched: bool,
         checker: &mut StructureChecker,
         table: &BitMatrix,
         rounds: usize,
         acc: &mut ResultAccumulator,
     ) {
-        match width {
-            BatchWidth::Wide256 => {
-                let wides = rounds.div_ceil(WideWord::LANES);
-                for ww in 0..wides {
-                    let n = (rounds - ww * WideWord::LANES).min(WideWord::LANES);
-                    router.begin_wide(table, ww);
-                    let mask = checker.wide_reliable(router, table, ww, n);
-                    acc.push_wide(mask, n as u32);
-                }
+        if batched {
+            for ww in 0..rounds.div_ceil(WideWord::LANES) {
+                let n = (rounds - ww * WideWord::LANES).min(WideWord::LANES);
+                router.begin_wide(table, ww);
+                let mask = checker.wide_reliable(router, table, ww, n);
+                acc.push_wide(mask, n as u32);
             }
-            BatchWidth::Word64 => {
-                let words = rounds.div_ceil(64);
-                for w in 0..words {
-                    let n = (rounds - w * 64).min(64);
-                    router.begin_word(table, w);
-                    let mask = checker.word_reliable(router, table, w, n);
-                    acc.push_word(mask, n as u32);
-                }
-            }
-            BatchWidth::Scalar => {
-                for round in 0..rounds {
-                    router.begin_round(table, round);
-                    let ok = checker.round_reliable(router, table, round);
-                    acc.push(ok);
-                }
+        } else {
+            for round in 0..rounds {
+                router.begin_round(table, round);
+                let ok = checker.round_reliable(router, table, round);
+                acc.push(ok);
             }
         }
     }
@@ -470,7 +413,7 @@ impl Assessor {
         let t_check = Instant::now();
         Self::route_and_check(
             self.router.as_mut(),
-            self.width,
+            self.batched,
             checker,
             &self.arena.collapsed,
             rounds,
@@ -538,7 +481,7 @@ impl Assessor {
                 let mut local = ResultAccumulator::new();
                 Self::route_and_check(
                     self.router.as_mut(),
-                    self.width,
+                    self.batched,
                     &mut checker,
                     table,
                     task.rounds,
@@ -781,10 +724,10 @@ mod tests {
         assert_eq!(prefix.estimate.rounds, 4_000);
     }
 
-    /// The tentpole invariant: every kernel lane width — scalar, 64-lane,
-    /// 256-lane — produces bit-identical assessments (same successes, same
-    /// rounds) across specs (simple and complex) and word/wide-boundary
-    /// round counts, on both the fresh and the cached-table paths.
+    /// The kernel invariant: the batched (256-lane) and scalar paths produce
+    /// bit-identical assessments (same successes, same rounds) across specs
+    /// (simple and complex) and 64/256-lane boundary round counts, on both
+    /// the fresh and the cached-table paths.
     #[test]
     fn batched_equals_scalar_bit_for_bit() {
         let t = FatTreeParams::new(4).build();
@@ -800,23 +743,15 @@ mod tests {
                 let model = FaultModel::paper_default(&t, 11);
                 let mut scalar = Assessor::new(&t, model.clone());
                 scalar.set_batched(false);
-                let mut word64 = Assessor::new(&t, model.clone());
-                word64.set_width(BatchWidth::Word64);
+                assert!(!scalar.batched());
                 let mut wide = Assessor::new(&t, model);
                 assert!(wide.batched());
-                assert_eq!(wide.width(), BatchWidth::Wide256);
                 let rs = scalar.assess(spec, &plan, rounds, 9);
-                let rw = word64.assess(spec, &plan, rounds, 9);
                 let rb = wide.assess(spec, &plan, rounds, 9);
                 assert_eq!(
                     (rs.estimate.successes, rs.estimate.rounds),
                     (rb.estimate.successes, rb.estimate.rounds),
                     "spec {si} rounds {rounds} fresh"
-                );
-                assert_eq!(
-                    (rs.estimate.successes, rs.estimate.rounds),
-                    (rw.estimate.successes, rw.estimate.rounds),
-                    "spec {si} rounds {rounds} word64"
                 );
                 // Cached-table path (second assess with the same seed).
                 let rs2 = scalar.assess(spec, &plan, rounds, 9);
@@ -827,7 +762,7 @@ mod tests {
         }
     }
 
-    /// Batched and scalar must also agree under a generic (non-word-native)
+    /// Batched and scalar must also agree under a generic (non-wide-native)
     /// router, where the screened round-major fallback carries the load.
     #[test]
     fn batched_equals_scalar_on_generic_router() {

@@ -19,7 +19,7 @@
 //! The checker owns per-plan scratch and never allocates per round.
 
 use recloud_apps::{ApplicationSpec, Connectivity, DeploymentPlan, Source};
-use recloud_routing::Router;
+use recloud_routing::{screen_then_scalar, Router};
 use recloud_sampling::{BitMatrix, WideWord};
 use recloud_topology::ComponentId;
 
@@ -35,9 +35,7 @@ pub struct StructureChecker {
     active: Vec<Vec<bool>>,
     /// Scratch for the bit-sliced K-of-N count: `ge[j]` is the round-lane
     /// mask of "at least j+1 instances reachable so far".
-    ge: Vec<u64>,
-    /// 256-lane analogue of `ge` for the wide kernel.
-    gew: Vec<WideWord>,
+    ge: Vec<WideWord>,
     /// Memoized all-alive-world verdict (what screened-out rounds resolve
     /// to). Valid for the lifetime of the checker: the plan is fixed and
     /// the baseline depends only on plan and topology.
@@ -63,15 +61,7 @@ impl StructureChecker {
             None
         };
         let active = hosts.iter().map(|h| vec![false; h.len()]).collect();
-        StructureChecker {
-            hosts,
-            requirements,
-            simple_k,
-            active,
-            ge: Vec::new(),
-            gew: Vec::new(),
-            baseline: None,
-        }
+        StructureChecker { hosts, requirements, simple_k, active, ge: Vec::new(), baseline: None }
     }
 
     /// Checks the (up to) 256 rounds of wide word `wide` in one sweep; lane
@@ -80,11 +70,13 @@ impl StructureChecker {
     /// `n` lanes are meaningful. The router must already have had
     /// [`Router::begin_wide`] called for (`states`, `wide`).
     ///
-    /// Strategy mirrors [`StructureChecker::word_reliable`] one width up:
-    /// K-of-N on a wide-native router folds 256-lane reach words through
-    /// the bit-sliced counter; everything else decomposes into the four
-    /// 64-round subwords and runs the word path (which itself screens and
-    /// falls back round-major as needed).
+    /// Strategy: K-of-N on a wide-native router (the fat-tree analytic
+    /// one) folds host reach words through a bit-sliced counter — no
+    /// per-round work at all. Everything else runs round-major behind the
+    /// router's screen mask ([`screen_then_scalar`]): rounds in which
+    /// nothing failed resolve to the memoized all-alive verdict without
+    /// routing, and only the dirty rounds pay for scalar routing (or the
+    /// complex fixpoint).
     pub fn wide_reliable(
         &mut self,
         router: &mut dyn Router,
@@ -98,23 +90,20 @@ impl StructureChecker {
                 return self.k_of_n_wide(router, states, wide, k);
             }
         }
-        let mut out = WideWord::ZERO;
-        let mut left = n;
-        for i in 0..WideWord::WORDS {
-            if left == 0 {
-                break;
-            }
-            let w = wide * WideWord::WORDS + i;
-            let take = left.min(64);
-            router.begin_word(states, w);
-            out.set_word(i, self.word_reliable(router, states, w, take));
-            left -= take;
-        }
-        out
+        let baseline = self.baseline_reliable(router, states);
+        let valid = WideWord::lane_mask(n);
+        screen_then_scalar(
+            router,
+            states,
+            wide,
+            valid,
+            |_| baseline,
+            |r, round| self.round_reliable(r, states, round),
+        )
     }
 
-    /// Bit-sliced K-of-N over a wide-native router — the 256-lane mirror
-    /// of [`StructureChecker::k_of_n_word`].
+    /// Bit-sliced K-of-N over a wide-native router: fold each host's
+    /// 256-round reach word into a saturating unary counter of `k` lanes.
     fn k_of_n_wide(
         &mut self,
         router: &mut dyn Router,
@@ -126,94 +115,19 @@ impl StructureChecker {
             return WideWord::ONES; // vacuous requirement, reliable in every round
         }
         let k = k as usize;
-        self.gew.clear();
-        self.gew.resize(k, WideWord::ZERO);
+        self.ge.clear();
+        self.ge.resize(k, WideWord::ZERO);
         for i in 0..self.hosts[0].len() {
             let h = self.hosts[0][i];
             let reach = router.external_reach_wide(states, h, wide);
             for j in (1..k).rev() {
-                let below = self.gew[j - 1];
-                self.gew[j] |= below & reach;
-            }
-            self.gew[0] |= reach;
-            // Early exit once every lane has k reachable instances; the
-            // remaining hosts cannot change the verdict.
-            if self.gew[k - 1].is_ones() {
-                break;
-            }
-        }
-        self.gew[k - 1]
-    }
-
-    /// Checks the (up to) 64 rounds of word `word` in one sweep; bit r of
-    /// the result is the verdict of round `64·word + r`, bit-identical to
-    /// [`StructureChecker::round_reliable`] on that round. Only the low
-    /// `n` bits are meaningful. The router must already have had
-    /// [`Router::begin_word`] called for (`states`, `word`).
-    ///
-    /// Strategy: K-of-N on a word-native router (the fat-tree analytic
-    /// one) ANDs/ORs host reach-words through a bit-sliced counter —
-    /// no per-round work at all. Everything else runs round-major behind
-    /// the router's screen mask: rounds in which nothing failed resolve to
-    /// the memoized all-alive verdict without routing, and only the dirty
-    /// rounds pay for scalar routing (or the complex fixpoint).
-    pub fn word_reliable(
-        &mut self,
-        router: &mut dyn Router,
-        states: &BitMatrix,
-        word: usize,
-        n: usize,
-    ) -> u64 {
-        debug_assert!(n >= 1 && n <= 64, "a verdict word holds 1..=64 rounds");
-        if router.word_native() {
-            if let Some(k) = self.simple_k {
-                return self.k_of_n_word(router, states, word, k);
-            }
-        }
-        let valid = if n == 64 { !0 } else { (1u64 << n) - 1 };
-        let screen = router.screen_word(states, word) & valid;
-        let mut out = 0u64;
-        if screen != valid && self.baseline_reliable(router, states) {
-            out = valid & !screen;
-        }
-        let mut dirty = screen;
-        while dirty != 0 {
-            let r = dirty.trailing_zeros() as usize;
-            dirty &= dirty - 1;
-            let round = word * 64 + r;
-            router.begin_round(states, round);
-            if self.round_reliable(router, states, round) {
-                out |= 1 << r;
-            }
-        }
-        out
-    }
-
-    /// Bit-sliced K-of-N over a word-native router: fold each host's
-    /// 64-round reach word into a saturating unary counter of `k` lanes.
-    fn k_of_n_word(
-        &mut self,
-        router: &mut dyn Router,
-        states: &BitMatrix,
-        word: usize,
-        k: u32,
-    ) -> u64 {
-        if k == 0 {
-            return !0; // vacuous requirement, reliable in every round
-        }
-        let k = k as usize;
-        self.ge.clear();
-        self.ge.resize(k, 0);
-        for i in 0..self.hosts[0].len() {
-            let h = self.hosts[0][i];
-            let reach = router.external_reach_word(states, h, word);
-            for j in (1..k).rev() {
-                self.ge[j] |= self.ge[j - 1] & reach;
+                let below = self.ge[j - 1];
+                self.ge[j] |= below & reach;
             }
             self.ge[0] |= reach;
             // Early exit once every lane has k reachable instances; the
             // remaining hosts cannot change the verdict.
-            if self.ge[k - 1] == !0 {
+            if self.ge[k - 1].is_ones() {
                 break;
             }
         }
@@ -222,7 +136,7 @@ impl StructureChecker {
 
     /// The all-alive-world verdict, computed once per checker through the
     /// router's scalar path on a synthetic 1-round matrix. Clobbers the
-    /// router's per-round context (word callers re-begin dirty rounds).
+    /// router's per-round context (wide callers re-begin dirty rounds).
     fn baseline_reliable(&mut self, router: &mut dyn Router, states: &BitMatrix) -> bool {
         if let Some(v) = self.baseline {
             return v;

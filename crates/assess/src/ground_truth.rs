@@ -11,7 +11,7 @@
 //! the true value and (b) that the Eq 3 confidence interval actually
 //! covers it — a stronger accuracy check than the paper could perform.
 //!
-//! States are evaluated in blocks of 64 so the word-parallel fault-tree
+//! States are evaluated in blocks of 64 so the wide-parallel fault-tree
 //! collapse is exercised too.
 
 use crate::check::StructureChecker;

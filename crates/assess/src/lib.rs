@@ -36,7 +36,7 @@ pub mod sensitivity;
 pub mod sequential;
 pub mod wire;
 
-pub use assessor::{Assessment, Assessor, BatchWidth, DrivenAssessment, SamplerKind, Timings};
+pub use assessor::{Assessment, Assessor, DrivenAssessment, SamplerKind, Timings};
 pub use check::StructureChecker;
 pub use compare::{compare_plans, Comparison, RankedPlan};
 pub use driver::{AssessmentDriver, ChunkTask, PartialEstimate};

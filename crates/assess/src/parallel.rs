@@ -19,7 +19,7 @@
 //! regardless of worker count or scheduling — the property the
 //! equivalence tests pin down.
 
-use crate::assessor::{Assessment, Assessor, BatchWidth, SamplerKind, Timings};
+use crate::assessor::{Assessment, Assessor, SamplerKind, Timings};
 use crate::check::StructureChecker;
 use crate::driver::AssessmentDriver;
 use crate::wire::{JobFrame, ResultFrame, TaskFrame};
@@ -37,11 +37,11 @@ pub struct ParallelAssessor {
     model: FaultModel,
     kind: SamplerKind,
     workers: usize,
-    /// Kernel lane width of every worker engine: 256-lane wide by default;
-    /// the narrower paths exist for equivalence tests and benchmarking.
+    /// Route-and-check path of every worker engine: the 256-lane wide
+    /// kernel by default, scalar for equivalence tests and benchmarking.
     /// Chunks are lane-width aligned (the serial engine's layout), so full
     /// chunks decompose into whole wide words on every worker.
-    width: BatchWidth,
+    batched: bool,
 }
 
 impl ParallelAssessor {
@@ -61,24 +61,13 @@ impl ParallelAssessor {
         kind: SamplerKind,
     ) -> Self {
         assert!(workers >= 1, "need at least one worker");
-        ParallelAssessor {
-            topology: topology.clone(),
-            model,
-            kind,
-            workers,
-            width: BatchWidth::Wide256,
-        }
+        ParallelAssessor { topology: topology.clone(), model, kind, workers, batched: true }
     }
 
     /// Selects the batched (wide) or scalar route-and-check path in every
     /// worker engine. Both produce bit-identical assessments.
     pub fn set_batched(&mut self, batched: bool) {
-        self.width = if batched { BatchWidth::Wide256 } else { BatchWidth::Scalar };
-    }
-
-    /// Selects an explicit kernel lane width for every worker engine.
-    pub fn set_width(&mut self, width: BatchWidth) {
-        self.width = width;
+        self.batched = batched;
     }
 
     /// Assesses a plan over `rounds` rounds, distributing chunks over the
@@ -133,7 +122,7 @@ impl ParallelAssessor {
             // built once here and reused for every chunk the worker
             // drains, so steady-state workers allocate nothing.
             let mut engine = Assessor::with_sampler(&self.topology, self.model.clone(), self.kind);
-            engine.set_width(self.width);
+            engine.set_batched(self.batched);
             let mut checker = StructureChecker::new(spec, &plan);
             while let Ok(task) = task_rx.recv() {
                 let task = TaskFrame::decode(task).expect("master sent a valid task");

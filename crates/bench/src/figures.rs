@@ -1048,7 +1048,7 @@ fn serve_bench_json(
     }
     s.push_str("  ],\n");
     // Cache totals come from the instrument counters — the daemon-wide
-    // source of truth the legacy StatsResponse duplicated.
+    // source of truth.
     let hits = instruments.counter("server.cache_hits_total").unwrap_or(0);
     let misses = instruments.counter("server.cache_misses_total").unwrap_or(0);
     s.push_str(&format!(

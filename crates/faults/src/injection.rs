@@ -8,7 +8,7 @@
 //! the full correlated-failure path — e.g. "what happens to this deployment
 //! plan if power supply 3 browns out?"
 
-use recloud_sampling::BitMatrix;
+use recloud_sampling::{BitMatrix, WideWord};
 use recloud_topology::ComponentId;
 use std::ops::Range;
 
@@ -65,8 +65,8 @@ impl FaultInjector {
         for inj in &self.injections {
             match inj {
                 Injection::FailAll(c) => {
-                    for w in 0..matrix.words_per_row() {
-                        matrix.set_word(c.index(), w, u64::MAX);
+                    for ww in 0..matrix.wide_words_per_row() {
+                        matrix.set_wide_word(c.index(), ww, WideWord::ONES);
                     }
                 }
                 Injection::FailRange(c, range) => {
@@ -77,8 +77,8 @@ impl FaultInjector {
                     }
                 }
                 Injection::ReviveAll(c) => {
-                    for w in 0..matrix.words_per_row() {
-                        matrix.set_word(c.index(), w, 0);
+                    for ww in 0..matrix.wide_words_per_row() {
+                        matrix.set_wide_word(c.index(), ww, WideWord::ZERO);
                     }
                 }
             }
@@ -139,8 +139,8 @@ mod tests {
 
     #[test]
     fn word_writes_respect_round_boundary() {
-        // 70 rounds: the last word has 6 valid bits; fail-all must not
-        // corrupt counts past the boundary.
+        // 70 rounds: the only wide word has 70 valid lanes; fail-all must
+        // not corrupt counts past the boundary.
         let mut m = BitMatrix::new(1, 70);
         let mut inj = FaultInjector::new();
         inj.fail(ComponentId(0));

@@ -19,7 +19,7 @@
 //! 3. **The assembled [`FaultModel`]** — probabilities + dependency trees +
 //!    auxiliary (non-topology) components such as shared OS images; it
 //!    collapses raw sampled states into *effective* per-node states
-//!    word-parallel, 64 rounds at a time — [`model`].
+//!    wide-parallel, 256 rounds at a time — [`model`].
 //!
 //! A FIFL-style fault injector for tests and what-if analyses lives in
 //! [`injection`].

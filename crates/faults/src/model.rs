@@ -10,8 +10,8 @@
 //!   component fails *because of its dependencies* (§3.2.3). A component's
 //!   effective state in a round is `own sampled state OR tree(deps)`.
 //!
-//! Collapsing raw sampled states into effective states is word-parallel
-//! (64 rounds per operation) and is one of the two hot loops of
+//! Collapsing raw sampled states into effective states is wide-parallel
+//! (256 rounds per operation) and is one of the two hot loops of
 //! assessment; see [`FaultModel::collapse_into`].
 
 use crate::probability::ProbabilityConfig;

@@ -13,8 +13,8 @@
 //! Gates: OR, AND and the generalization K-of-N ("fails when at least k of
 //! n children fail"; OR = 1-of-n, AND = n-of-n). Trees are DAG-shaped by
 //! construction (children must be created before their parent), evaluated
-//! either per-round or word-parallel (64 rounds per operation; the hot path
-//! of assessment).
+//! either per-round or wide-parallel (256 rounds per operation; the hot
+//! path of assessment).
 
 use recloud_sampling::{BitMatrix, WideWord};
 use recloud_topology::ComponentId;
@@ -100,47 +100,10 @@ impl FaultTree {
         }
     }
 
-    /// Word-parallel evaluation: computes the failure bits of 64 rounds at
-    /// once. `word_of(c)` returns the 64-round word of component `c`'s raw
-    /// sampled states. This is the assessment hot path.
-    pub fn eval_word(&self, word_of: &dyn Fn(ComponentId) -> u64) -> u64 {
-        self.eval_node_word(self.root, word_of)
-    }
-
-    fn eval_node_word(&self, id: NodeId, word_of: &dyn Fn(ComponentId) -> u64) -> u64 {
-        match &self.nodes[id as usize] {
-            Node::Basic(c) => word_of(*c),
-            Node::Or(ch) => ch.iter().fold(0u64, |acc, &c| acc | self.eval_node_word(c, word_of)),
-            Node::And(ch) => {
-                ch.iter().fold(u64::MAX, |acc, &c| acc & self.eval_node_word(c, word_of))
-            }
-            Node::KofN(k, ch) => {
-                // Bitwise thresholding: count failures per bit lane.
-                let mut counts = [0u8; 64];
-                for &c in ch {
-                    let w = self.eval_node_word(c, word_of);
-                    if w == 0 {
-                        continue;
-                    }
-                    for (lane, count) in counts.iter_mut().enumerate() {
-                        *count += ((w >> lane) & 1) as u8;
-                    }
-                }
-                let mut out = 0u64;
-                for (lane, &count) in counts.iter().enumerate() {
-                    if u32::from(count) >= *k {
-                        out |= 1u64 << lane;
-                    }
-                }
-                out
-            }
-        }
-    }
-
     /// Wide-parallel evaluation: computes the failure lanes of 256 rounds
     /// at once. `wide_of(c)` returns the 256-round wide word of component
-    /// `c`'s raw sampled states — the 256-lane analogue of
-    /// [`FaultTree::eval_word`].
+    /// `c`'s raw sampled states. This is the assessment hot path; lane r
+    /// equals [`FaultTree::eval`] on round r's states.
     pub fn eval_wide(&self, wide_of: &dyn Fn(ComponentId) -> WideWord) -> WideWord {
         self.eval_node_wide(self.root, wide_of)
     }
@@ -169,7 +132,7 @@ impl FaultTree {
                 let mut out = WideWord::ZERO;
                 for (lane, &count) in counts.iter().enumerate() {
                     if u32::from(count) >= *k {
-                        out.set_word(lane / 64, out.word(lane / 64) | 1u64 << (lane % 64));
+                        out.set_lane(lane);
                     }
                 }
                 out
@@ -347,18 +310,26 @@ mod tests {
         assert!(t.eval(&|_| true));
     }
 
-    #[test]
-    fn word_eval_matches_scalar_eval() {
-        let t = fig5();
-        // Assemble 64 random-ish failure words for the 6 basic events.
-        let words: Vec<u64> = (0..6)
-            .map(|i| 0x9E37_79B9_7F4A_7C15u64.rotate_left(i * 11) ^ (i as u64 * 0xABCD))
-            .collect();
-        let word = t.eval_word(&|x: ComponentId| words[x.index()]);
-        for lane in 0..64 {
-            let scalar = t.eval(&|x: ComponentId| (words[x.index()] >> lane) & 1 == 1);
-            assert_eq!((word >> lane) & 1 == 1, scalar, "lane {lane}");
+    /// Distinct, random-ish 256-lane failure words, one per basic event.
+    fn wide_of(x: ComponentId) -> WideWord {
+        let base = 0x9E37_79B9_7F4A_7C15u64.rotate_left(x.0 * 13) ^ (x.0 as u64 * 0x5AA5);
+        WideWord([base, base.rotate_left(17), !base, base.wrapping_mul(3)])
+    }
+
+    /// Every lane of the wide evaluation equals the scalar evaluation of
+    /// that lane's states, and the verdicts are not all alike.
+    fn assert_wide_matches_scalar(t: &FaultTree) {
+        let wide = t.eval_wide(&wide_of);
+        for lane in 0..WideWord::LANES {
+            let scalar = t.eval(&|x: ComponentId| wide_of(x).bit(lane));
+            assert_eq!(wide.bit(lane), scalar, "lane {lane}");
         }
+        assert!(!wide.is_zero() && !wide.is_ones(), "degenerate test vector");
+    }
+
+    #[test]
+    fn wide_eval_matches_scalar_eval() {
+        assert_wide_matches_scalar(&fig5());
     }
 
     #[test]
@@ -373,41 +344,11 @@ mod tests {
     }
 
     #[test]
-    fn k_of_n_word_eval_matches_scalar() {
+    fn k_of_n_wide_eval_matches_scalar() {
         let mut b = FaultTreeBuilder::new();
         let leaves: Vec<_> = (0..7).map(|i| b.basic(c(i))).collect();
         let root = b.k_of_n(4, leaves);
-        let t = b.build(root);
-        let words: Vec<u64> =
-            (0..7).map(|i| 0xDEAD_BEEF_CAFE_F00Du64.rotate_right(i * 7)).collect();
-        let word = t.eval_word(&|x: ComponentId| words[x.index()]);
-        for lane in 0..64 {
-            let scalar = t.eval(&|x: ComponentId| (words[x.index()] >> lane) & 1 == 1);
-            assert_eq!((word >> lane) & 1 == 1, scalar, "lane {lane}");
-        }
-    }
-
-    #[test]
-    fn wide_eval_matches_word_eval() {
-        // fig5 (OR/AND mix) plus a K-of-N gate, both against 4 distinct
-        // subwords per event so every lane region differs.
-        let trees = vec![fig5(), {
-            let mut b = FaultTreeBuilder::new();
-            let leaves: Vec<_> = (0..7).map(|i| b.basic(c(i))).collect();
-            let root = b.k_of_n(4, leaves);
-            b.build(root)
-        }];
-        for t in trees {
-            let wide_of = |x: ComponentId| {
-                let base = 0x9E37_79B9_7F4A_7C15u64.rotate_left(x.0 * 13) ^ (x.0 as u64 * 0x5AA5);
-                WideWord([base, base.rotate_left(17), !base, base.wrapping_mul(3)])
-            };
-            let wide = t.eval_wide(&wide_of);
-            for i in 0..WideWord::WORDS {
-                let word = t.eval_word(&|x: ComponentId| wide_of(x).word(i));
-                assert_eq!(wide.word(i), word, "subword {i}");
-            }
-        }
+        assert_wide_matches_scalar(&b.build(root));
     }
 
     #[test]

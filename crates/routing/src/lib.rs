@@ -42,31 +42,27 @@ pub use updown::UpDownRouter;
 use recloud_sampling::{BitMatrix, WideWord};
 use recloud_topology::{ComponentId, Topology, TopologyKind};
 
-/// Reachability oracle for one sampling round — or, through the word and
-/// wide APIs, for 64 or 256 rounds at a time.
+/// Reachability oracle for one sampling round — or, through the wide API,
+/// for 256 rounds at a time.
 ///
 /// Scalar protocol: call [`Router::begin_round`] with the collapsed state
 /// matrix and a round index, then issue queries *against the same matrix
 /// and round*. The matrix is passed by reference on every call so routers
 /// can read states lazily without copying a 30K-component column per round.
-///
-/// Word protocol (the bit-sliced kernel): call [`Router::begin_word`] with
-/// a word index `w`, then issue [`Router::external_reach_word`] /
-/// [`Router::connects_word`] queries for the same `(states, w)`. Bit `r`
-/// of a result word is the verdict for round `64·w + r`, bit-identical to
-/// the scalar query on that round. Bits beyond the matrix's round count
-/// are unspecified — callers mask with [`BitMatrix::word_mask`].
+/// The scalar path is the oracle every batched answer is tested against.
 ///
 /// Wide protocol (the 256-lane kernel): call [`Router::begin_wide`] with a
 /// wide-word index `ww`, then issue [`Router::external_reach_wide`] /
 /// [`Router::connects_wide`] queries for the same `(states, ww)`. Lane `r`
-/// of a result wide word is the verdict for round `256·ww + r`. The default
-/// implementations decompose a wide word into its four 64-round subwords
-/// through the word API, so every router gets the wide API for free and the
-/// 64-bit path remains the degenerate width.
+/// of a result is the verdict for round `256·ww + r`, bit-identical to the
+/// scalar query on that round. Lanes beyond the matrix's round count are
+/// unspecified — callers mask with [`BitMatrix::wide_mask`]. The defaults
+/// screen with [`Router::screen_wide`] and run the scalar query on dirty
+/// lanes only, so every router gets the wide API for free; routers with
+/// closed-form reachability answer it natively in 256-lane bit algebra.
 ///
-/// All protocols share router scratch: interleaving them is allowed only by
-/// re-issuing the relevant `begin_*` call first.
+/// Both protocols share router scratch: interleaving them is allowed only
+/// by re-issuing the relevant `begin_*` call first.
 pub trait Router {
     /// Installs the failure states of one round (the per-round context
     /// setup). `states` must be the *collapsed* matrix: one row per
@@ -85,29 +81,6 @@ pub trait Router {
 
     /// Human-readable router name for reports.
     fn name(&self) -> &'static str;
-
-    /// Installs the context for the 64 rounds of word `word` (the batched
-    /// analogue of [`Router::begin_round`]). The default is a no-op:
-    /// fallback word implementations re-derive any scalar context they
-    /// need per round.
-    fn begin_word(&mut self, _states: &BitMatrix, _word: usize) {}
-
-    /// True when the word queries are answered natively in O(1) bit
-    /// algebra rather than by a per-round fallback loop. Batched callers
-    /// use this to decide between host-major word queries (native) and
-    /// round-major screening (fallback).
-    fn word_native(&self) -> bool {
-        false
-    }
-
-    /// Screen mask for word `word`: bit r **clear** proves that round
-    /// `64·w + r`'s verdicts equal the all-alive baseline, so the round
-    /// can skip routing entirely. The default — OR of every component row,
-    /// i.e. "anything failed at all" — is correct for every router because
-    /// verdicts are a pure function of the round's states.
-    fn screen_word(&mut self, states: &BitMatrix, word: usize) -> u64 {
-        states.any_failed_word(word)
-    }
 
     /// All-alive-world verdict of [`Router::external_reaches`] — what a
     /// screened-out (clean) round resolves to. The default derives it from
@@ -128,98 +101,43 @@ pub trait Router {
         self.connects(&alive, a, b)
     }
 
-    /// 64-round batched [`Router::external_reaches`]: bit r of the result
-    /// is the verdict for round `64·word + r`. The default falls back to
-    /// the scalar query on the set bits of the screen mask — clean rounds
-    /// shortcut to the all-alive verdict without any routing. Clobbers
-    /// scalar per-round context.
-    fn external_reach_word(&mut self, states: &BitMatrix, host: ComponentId, word: usize) -> u64 {
-        let valid = states.word_mask(word);
-        let screen = self.screen_word(states, word) & valid;
-        let mut out = 0u64;
-        if screen != valid && self.baseline_external(states, host) {
-            out = valid & !screen;
-        }
-        let mut dirty = screen;
-        while dirty != 0 {
-            let r = dirty.trailing_zeros() as usize;
-            dirty &= dirty - 1;
-            self.begin_round(states, word * 64 + r);
-            if self.external_reaches(states, host) {
-                out |= 1 << r;
-            }
-        }
-        out
-    }
-
-    /// 64-round batched [`Router::connects`]; same contract and default
-    /// strategy as [`Router::external_reach_word`].
-    fn connects_word(
-        &mut self,
-        states: &BitMatrix,
-        a: ComponentId,
-        b: ComponentId,
-        word: usize,
-    ) -> u64 {
-        let valid = states.word_mask(word);
-        let screen = self.screen_word(states, word) & valid;
-        let mut out = 0u64;
-        if screen != valid && self.baseline_connects(states, a, b) {
-            out = valid & !screen;
-        }
-        let mut dirty = screen;
-        while dirty != 0 {
-            let r = dirty.trailing_zeros() as usize;
-            dirty &= dirty - 1;
-            self.begin_round(states, word * 64 + r);
-            if self.connects(states, a, b) {
-                out |= 1 << r;
-            }
-        }
-        out
-    }
-
     /// Installs the context for the 256 rounds of wide word `wide` (the
-    /// 256-lane analogue of [`Router::begin_word`]). The default is a
-    /// no-op: the fallback wide queries re-issue [`Router::begin_word`]
-    /// per 64-round subword.
+    /// batched analogue of [`Router::begin_round`]). The default is a
+    /// no-op: the screened default queries re-issue
+    /// [`Router::begin_round`] per dirty lane.
     fn begin_wide(&mut self, _states: &BitMatrix, _wide: usize) {}
 
     /// True when the wide queries are answered natively in 256-lane bit
-    /// algebra rather than by the word-decomposition default.
+    /// algebra rather than by the screen-then-scalar default.
     fn wide_native(&self) -> bool {
         false
     }
 
-    /// Screen mask for wide word `wide` — the 256-lane analogue of
-    /// [`Router::screen_word`]: a clear lane proves the round equals the
-    /// all-alive baseline.
+    /// Screen mask for wide word `wide`: lane r **clear** proves that
+    /// round `256·wide + r`'s verdicts equal the all-alive baseline, so the
+    /// round can skip routing entirely. The default — OR of every
+    /// component row, i.e. "anything failed at all" — is correct for every
+    /// router because verdicts are a pure function of the round's states.
     fn screen_wide(&mut self, states: &BitMatrix, wide: usize) -> WideWord {
         states.any_failed_wide(wide)
     }
 
     /// 256-round batched [`Router::external_reaches`]: lane r of the
-    /// result is the verdict for round `256·wide + r`. The default
-    /// assembles the four 64-round subwords through the word API
-    /// (re-issuing [`Router::begin_word`] per subword); alignment-padding
-    /// subwords contribute zero lanes. Lanes beyond the round count are
-    /// unspecified — callers mask with [`BitMatrix::wide_mask`].
+    /// result is the verdict for round `256·wide + r`. The default runs
+    /// [`screen_then_scalar`]: clean lanes take
+    /// [`Router::baseline_external`], dirty lanes the scalar query.
+    /// Clobbers scalar per-round context.
     fn external_reach_wide(
         &mut self,
         states: &BitMatrix,
         host: ComponentId,
         wide: usize,
     ) -> WideWord {
-        let mut out = WideWord::ZERO;
-        for i in 0..WideWord::WORDS {
-            let w = wide * WideWord::WORDS + i;
-            if states.rounds_in_word(w) == 0 {
-                break;
-            }
-            self.begin_word(states, w);
-            out.set_word(i, self.external_reach_word(states, host, w));
-        }
-        out
+        let valid = states.wide_mask(wide);
+        let baseline = |r: &mut Self| r.baseline_external(states, host);
+        screen_then_scalar(self, states, wide, valid, baseline, |r, _| {
+            r.external_reaches(states, host)
+        })
     }
 
     /// 256-round batched [`Router::connects`]; same contract and default
@@ -231,17 +149,39 @@ pub trait Router {
         b: ComponentId,
         wide: usize,
     ) -> WideWord {
-        let mut out = WideWord::ZERO;
-        for i in 0..WideWord::WORDS {
-            let w = wide * WideWord::WORDS + i;
-            if states.rounds_in_word(w) == 0 {
-                break;
-            }
-            self.begin_word(states, w);
-            out.set_word(i, self.connects_word(states, a, b, w));
-        }
-        out
+        let valid = states.wide_mask(wide);
+        let baseline = |r: &mut Self| r.baseline_connects(states, a, b);
+        screen_then_scalar(self, states, wide, valid, baseline, |r, _| r.connects(states, a, b))
     }
+}
+
+/// Screen-then-scalar evaluation of the `valid` lanes of wide word `wide`:
+/// lanes the router's [`Router::screen_wide`] proves clean take the
+/// all-alive `baseline` verdict (computed only if some lane is clean);
+/// every dirty lane pays one [`Router::begin_round`] plus `verdict(router,
+/// round)`. Lanes outside `valid` are zero. This is the fallback behind the
+/// default wide queries and the checker's non-native path.
+pub fn screen_then_scalar<R: Router + ?Sized>(
+    router: &mut R,
+    states: &BitMatrix,
+    wide: usize,
+    valid: WideWord,
+    baseline: impl FnOnce(&mut R) -> bool,
+    mut verdict: impl FnMut(&mut R, usize) -> bool,
+) -> WideWord {
+    let dirty = router.screen_wide(states, wide) & valid;
+    let mut out = WideWord::ZERO;
+    if dirty != valid && baseline(router) {
+        out = valid & !dirty;
+    }
+    for lane in dirty.iter_ones() {
+        let round = wide * WideWord::LANES + lane;
+        router.begin_round(states, round);
+        if verdict(router, round) {
+            out.set_lane(lane);
+        }
+    }
+    out
 }
 
 /// Picks the best router for a topology: analytic for fat-trees, generic
@@ -322,100 +262,55 @@ mod agreement_tests {
         }
     }
 
-    /// Every router's word API must agree bit-for-bit with its own scalar
-    /// verdicts — native bit algebra (analytic) and screened fallback
-    /// (reference BFS routers) alike — including on a ragged tail word.
-    #[test]
-    fn word_api_agrees_with_scalar_for_every_router() {
-        let t = FatTreeParams::new(4).build();
-        let rounds = 150; // 2 full words + a 22-round tail
-        let states = random_states(&t, rounds, 0.08, 3);
-        let hosts = t.hosts();
-        let probes: Vec<_> = hosts.iter().step_by(5).copied().collect();
-        let routers: Vec<Box<dyn Router>> = vec![
-            Box::new(FatTreeRouter::new(&t)),
-            Box::new(UpDownRouter::for_fat_tree(&t)),
-            Box::new(GenericRouter::new(&t)),
-        ];
-        for mut r in routers {
-            let name = r.name();
-            for w in 0..rounds.div_ceil(64) {
-                let valid = states.word_mask(w);
-                r.begin_word(&states, w);
-                let reach: Vec<u64> =
-                    probes.iter().map(|&h| r.external_reach_word(&states, h, w)).collect();
-                r.begin_word(&states, w);
-                let conn: Vec<u64> =
-                    probes.iter().map(|&h| r.connects_word(&states, probes[0], h, w)).collect();
-                for bit in 0..states.rounds_in_word(w) {
-                    let round = w * 64 + bit;
-                    r.begin_round(&states, round);
-                    for (i, &h) in probes.iter().enumerate() {
-                        assert_eq!(
-                            (reach[i] >> bit) & 1 == 1,
-                            r.external_reaches(&states, h),
-                            "{name}: external round {round} host {h}"
-                        );
-                        assert_eq!(
-                            (conn[i] >> bit) & 1 == 1,
-                            r.connects(&states, probes[0], h),
-                            "{name}: connects round {round} host {h}"
-                        );
-                    }
-                }
-                // Valid-bit masking must be harmless (callers mask anyway).
-                for m in &reach {
-                    let _ = m & valid;
-                }
-            }
-        }
-    }
-
-    /// Every router's wide API must agree lane-for-lane with its own word
+    /// Every router's wide API must agree lane-for-lane with its own scalar
     /// verdicts — native 256-lane algebra (analytic) and the
-    /// word-decomposition default (reference BFS routers) alike — across a
-    /// full wide word plus a ragged tail.
+    /// screen-then-scalar default (reference BFS routers) alike — at
+    /// 255/256/257 rounds and across a full wide word plus a ragged tail.
     #[test]
-    fn wide_api_agrees_with_word_for_every_router() {
+    fn wide_api_agrees_with_scalar_for_every_router() {
         let t = FatTreeParams::new(4).build();
-        let rounds = 300; // 1 full wide word + a 44-round tail
-        let states = random_states(&t, rounds, 0.08, 21);
         let hosts = t.hosts();
         let probes: Vec<_> = hosts.iter().step_by(5).copied().collect();
-        let routers: Vec<Box<dyn Router>> = vec![
-            Box::new(FatTreeRouter::new(&t)),
-            Box::new(UpDownRouter::for_fat_tree(&t)),
-            Box::new(GenericRouter::new(&t)),
-        ];
-        for mut r in routers {
-            let name = r.name();
-            for ww in 0..states.wide_words_per_row() {
-                let mask = states.wide_mask(ww);
-                r.begin_wide(&states, ww);
-                let screen = r.screen_wide(&states, ww);
-                let reach: Vec<WideWord> =
-                    probes.iter().map(|&h| r.external_reach_wide(&states, h, ww) & mask).collect();
-                r.begin_wide(&states, ww);
-                let conn: Vec<WideWord> = probes
-                    .iter()
-                    .map(|&h| r.connects_wide(&states, probes[0], h, ww) & mask)
-                    .collect();
-                for i in 0..WideWord::WORDS {
-                    let w = ww * WideWord::WORDS + i;
-                    let wmask = states.word_mask(w);
-                    assert_eq!(screen.word(i), states.any_failed_word(w), "{name}: screen");
-                    r.begin_word(&states, w);
-                    for (j, &h) in probes.iter().enumerate() {
-                        assert_eq!(
-                            reach[j].word(i),
-                            r.external_reach_word(&states, h, w) & wmask,
-                            "{name}: external ww={ww} sub={i} host {h}"
-                        );
-                        assert_eq!(
-                            conn[j].word(i),
-                            r.connects_word(&states, probes[0], h, w) & wmask,
-                            "{name}: connects ww={ww} sub={i} host {h}"
-                        );
+        // Dense and sparse failures, so both dirty lanes (scalar fallback)
+        // and clean lanes (all-alive baseline) carry weight.
+        for (rounds, p, seed) in
+            [(255usize, 0.08, 3u64), (256, 0.005, 5), (257, 0.08, 8), (300, 0.01, 21)]
+        {
+            let states = random_states(&t, rounds, p, seed);
+            let routers: Vec<Box<dyn Router>> = vec![
+                Box::new(FatTreeRouter::new(&t)),
+                Box::new(UpDownRouter::for_fat_tree(&t)),
+                Box::new(GenericRouter::new(&t)),
+            ];
+            for mut r in routers {
+                let name = r.name();
+                for ww in 0..states.wide_words_per_row() {
+                    let mask = states.wide_mask(ww);
+                    r.begin_wide(&states, ww);
+                    let reach: Vec<WideWord> = probes
+                        .iter()
+                        .map(|&h| r.external_reach_wide(&states, h, ww) & mask)
+                        .collect();
+                    r.begin_wide(&states, ww);
+                    let conn: Vec<WideWord> = probes
+                        .iter()
+                        .map(|&h| r.connects_wide(&states, probes[0], h, ww) & mask)
+                        .collect();
+                    for lane in 0..states.rounds_in_wide(ww) {
+                        let round = ww * WideWord::LANES + lane;
+                        r.begin_round(&states, round);
+                        for (i, &h) in probes.iter().enumerate() {
+                            assert_eq!(
+                                reach[i].bit(lane),
+                                r.external_reaches(&states, h),
+                                "{name}: external rounds={rounds} round {round} host {h}"
+                            );
+                            assert_eq!(
+                                conn[i].bit(lane),
+                                r.connects(&states, probes[0], h),
+                                "{name}: connects rounds={rounds} round {round} host {h}"
+                            );
+                        }
                     }
                 }
             }
@@ -430,33 +325,28 @@ mod agreement_tests {
         assert!(!GenericRouter::new(&t).wide_native());
     }
 
-    /// The screen mask may only clear a bit when the round is genuinely
-    /// all-alive; set bits are allowed to be conservative.
+    /// The screen mask may only clear a lane when the round is genuinely
+    /// all-alive; set lanes are allowed to be conservative.
     #[test]
-    fn screen_word_is_sound() {
+    fn screen_wide_is_sound() {
         let t = FatTreeParams::new(4).build();
-        let rounds = 100;
-        let states = random_states(&t, rounds, 0.02, 9);
+        let rounds = 300;
+        let states = random_states(&t, rounds, 0.002, 9);
         let mut r = GenericRouter::new(&t);
-        for w in 0..rounds.div_ceil(64) {
-            let screen = r.screen_word(&states, w);
-            for bit in 0..states.rounds_in_word(w) {
-                if (screen >> bit) & 1 == 0 {
-                    let round = w * 64 + bit;
+        let mut clean = 0;
+        for ww in 0..states.wide_words_per_row() {
+            let screen = r.screen_wide(&states, ww);
+            for lane in 0..states.rounds_in_wide(ww) {
+                if !screen.bit(lane) {
+                    clean += 1;
+                    let round = ww * WideWord::LANES + lane;
                     for c in 0..states.components() {
                         assert!(!states.get(c, round), "clean round {round} has a failure");
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn only_analytic_router_is_word_native() {
-        let t = FatTreeParams::new(4).build();
-        assert!(FatTreeRouter::new(&t).word_native());
-        assert!(!UpDownRouter::for_fat_tree(&t).word_native());
-        assert!(!GenericRouter::new(&t).word_native());
+        assert!(clean > 0, "no clean round to check");
     }
 
     #[test]

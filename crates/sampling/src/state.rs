@@ -5,8 +5,8 @@
 //! *failed*. Rows are padded to [`WideWord`] alignment (4×u64, 256 rounds)
 //! so per-round reads, per-row population counts, and 256-lane wide reads
 //! are all branch-free; padding words are invisible to every accessor and
-//! are kept zero by all writers (`set_word`/`set_wide_word` mask, bit
-//! writers bounds-check against `rounds`).
+//! are kept zero by all writers (`set_wide_word` masks, bit writers
+//! bounds-check against `rounds`).
 //!
 //! At the paper's largest setting (≈30K components × 10⁴ rounds) this is
 //! ~37 MB; assessment code typically works in *blocks* of rounds (one
@@ -117,50 +117,6 @@ impl BitMatrix {
         BitRow { words: &self.bits[start..start + self.words_per_row], len: self.rounds }
     }
 
-    /// Number of 64-bit words per component row.
-    #[inline]
-    pub fn words_per_row(&self) -> usize {
-        self.words_per_row
-    }
-
-    /// Reads the `w`-th 64-round word of component `c`'s row.
-    #[inline]
-    pub fn word(&self, c: usize, w: usize) -> u64 {
-        debug_assert!(c < self.components && w < self.words_per_row);
-        self.bits[c * self.words_per_row + w]
-    }
-
-    /// Writes the `w`-th 64-round word of component `c`'s row. Bits beyond
-    /// the round count are masked off so population counts stay exact —
-    /// this includes alignment-padding words, where every bit is masked,
-    /// so blanket row writes (e.g. fault injection) stay safe.
-    #[inline]
-    pub fn set_word(&mut self, c: usize, w: usize, value: u64) {
-        debug_assert!(c < self.components && w < self.words_per_row);
-        self.bits[c * self.words_per_row + w] = value & self.word_mask(w);
-    }
-
-    /// Number of valid rounds covered by word `w` (64 for every word but
-    /// the tail, where it is `rounds % 64`; 0 for alignment-padding words).
-    #[inline]
-    pub fn rounds_in_word(&self, w: usize) -> usize {
-        debug_assert!(w < self.words_per_row || (self.words_per_row == 0 && w == 0));
-        self.rounds.saturating_sub(w * 64).min(64)
-    }
-
-    /// Mask of the valid round bits of word `w`: bit r is set iff round
-    /// `64·w + r` exists. All-ones except for the tail word, and all-zeros
-    /// for alignment-padding words.
-    #[inline]
-    pub fn word_mask(&self, w: usize) -> u64 {
-        let n = self.rounds_in_word(w);
-        if n == 64 {
-            !0
-        } else {
-            (1u64 << n) - 1
-        }
-    }
-
     /// Number of [`WideWord`]s per component row.
     #[inline]
     pub fn wide_words_per_row(&self) -> usize {
@@ -180,8 +136,10 @@ impl BitMatrix {
         ])
     }
 
-    /// Writes the `ww`-th 256-round wide word of component `c`'s row. Like
-    /// [`BitMatrix::set_word`], lanes beyond the round count are masked off.
+    /// Writes the `ww`-th 256-round wide word of component `c`'s row. Lanes
+    /// beyond the round count are masked off so population counts stay
+    /// exact — this includes the alignment padding of the tail wide word,
+    /// so blanket row writes (e.g. fault injection) stay safe.
     #[inline]
     pub fn set_wide_word(&mut self, c: usize, ww: usize, value: WideWord) {
         debug_assert!(c < self.components && ww < self.wide_words_per_row());
@@ -207,9 +165,10 @@ impl BitMatrix {
         WideWord::lane_mask(self.rounds_in_wide(ww))
     }
 
-    /// OR of every component's wide word `ww` — the 256-lane analogue of
-    /// [`BitMatrix::any_failed_word`]: a zero lane proves the round's
-    /// verdict equals the all-alive baseline.
+    /// OR of every component's wide word `ww`: lane r is set iff *any*
+    /// component failed in round `256·ww + r`. This is the route-and-check
+    /// screen mask — a zero lane proves the round's verdict equals the
+    /// all-alive baseline, so the round can skip routing entirely.
     pub fn any_failed_wide(&self, ww: usize) -> WideWord {
         debug_assert!(ww < self.wide_words_per_row());
         let mut acc = [0u64; 4];
@@ -222,22 +181,6 @@ impl BitMatrix {
             i += self.words_per_row;
         }
         WideWord(acc)
-    }
-
-    /// OR of every component's word `w`: bit r is set iff *any* component
-    /// failed in round `64·w + r`. This is the batched route-and-check
-    /// screen mask — a zero bit proves the round's verdict equals the
-    /// all-alive baseline, so the round can skip routing entirely.
-    pub fn any_failed_word(&self, w: usize) -> u64 {
-        debug_assert!(w < self.words_per_row);
-        let mut acc = 0u64;
-        let mut i = w;
-        // Strided walk down the column of round-words.
-        for _ in 0..self.components {
-            acc |= self.bits[i];
-            i += self.words_per_row;
-        }
-        acc
     }
 
     /// Total failed (component, round) cells — handy for sanity checks.
@@ -316,10 +259,9 @@ mod tests {
         let m = BitMatrix::new(2, 65);
         // 65 bits -> 2 words, padded to one wide word (4), 2 rows -> 64 bytes.
         assert_eq!(m.bytes(), 64);
-        assert_eq!(m.words_per_row(), 4);
         assert_eq!(m.wide_words_per_row(), 1);
         let exact = BitMatrix::new(3, 256);
-        assert_eq!(exact.words_per_row(), 4);
+        assert_eq!(exact.wide_words_per_row(), 1);
         assert_eq!(exact.bytes(), 3 * 4 * 8);
     }
 
@@ -327,40 +269,18 @@ mod tests {
     fn padding_words_are_inert() {
         // 65 rounds: words 2 and 3 of the row are pure alignment padding.
         let mut m = BitMatrix::new(1, 65);
-        assert_eq!(m.rounds_in_word(0), 64);
-        assert_eq!(m.rounds_in_word(1), 1);
-        assert_eq!(m.rounds_in_word(2), 0);
-        assert_eq!(m.rounds_in_word(3), 0);
-        assert_eq!(m.word_mask(1), 1);
-        assert_eq!(m.word_mask(2), 0);
+        assert_eq!(m.rounds_in_wide(0), 65);
+        assert_eq!(m.wide_mask(0), WideWord([!0, 1, 0, 0]));
         // Blanket writes across the whole row (the fault-injection pattern)
         // leave tail and padding bits clear.
-        for w in 0..m.words_per_row() {
-            m.set_word(0, w, u64::MAX);
-        }
-        assert_eq!(m.word(0, 1), 1);
-        assert_eq!(m.word(0, 2), 0);
-        assert_eq!(m.word(0, 3), 0);
+        m.set_wide_word(0, 0, WideWord::ONES);
+        assert_eq!(m.wide_word(0, 0), WideWord([!0, 1, 0, 0]));
         assert_eq!(m.total_failures(), 65);
         assert_eq!(m.row(0).count_ones(), 65);
     }
 
     #[test]
-    fn word_mask_and_rounds_in_word() {
-        let m = BitMatrix::new(1, 130);
-        assert_eq!(m.rounds_in_word(0), 64);
-        assert_eq!(m.rounds_in_word(1), 64);
-        assert_eq!(m.rounds_in_word(2), 2);
-        assert_eq!(m.word_mask(0), !0);
-        assert_eq!(m.word_mask(2), 0b11);
-        let exact = BitMatrix::new(1, 64);
-        assert_eq!(exact.rounds_in_word(0), 64);
-        assert_eq!(exact.word_mask(0), !0);
-    }
-
-    #[test]
-    fn wide_words_mirror_narrow_words_at_lane_boundaries() {
-        // 255/256/257 rounds: the wide analogue of PR 2's 63/64/65 coverage.
+    fn wide_reads_match_bit_reads_at_lane_boundaries() {
         for rounds in [255usize, 256, 257] {
             let mut m = BitMatrix::new(2, rounds);
             for r in (0..rounds).step_by(13) {
@@ -376,14 +296,11 @@ mod tests {
                 assert_eq!(m.wide_mask(ww), WideWord::lane_mask(n));
                 for c in 0..2 {
                     let wide = m.wide_word(c, ww);
-                    for i in 0..WideWord::WORDS {
-                        let w = ww * WideWord::WORDS + i;
-                        assert_eq!(wide.word(i), m.word(c, w), "c={c} ww={ww} i={i}");
+                    for lane in 0..256 {
+                        let round = ww * 256 + lane;
+                        let want = round < rounds && m.get(c, round);
+                        assert_eq!(wide.bit(lane), want, "c={c} ww={ww} lane={lane}");
                     }
-                }
-                let any = m.any_failed_wide(ww);
-                for i in 0..WideWord::WORDS {
-                    assert_eq!(any.word(i), m.any_failed_word(ww * WideWord::WORDS + i));
                 }
             }
             // count_ones over rows ignores padding lanes.
@@ -408,19 +325,24 @@ mod tests {
     }
 
     #[test]
-    fn any_failed_word_is_column_or() {
-        let mut m = BitMatrix::new(3, 100);
-        assert_eq!(m.any_failed_word(0), 0);
-        assert_eq!(m.any_failed_word(1), 0);
+    fn any_failed_wide_is_column_or() {
+        let mut m = BitMatrix::new(3, 300);
+        assert!(m.any_failed_wide(0).is_zero());
+        assert!(m.any_failed_wide(1).is_zero());
         m.set(0, 3);
         m.set(1, 3);
         m.set(2, 70);
-        assert_eq!(m.any_failed_word(0), 1 << 3);
-        assert_eq!(m.any_failed_word(1), 1 << (70 - 64));
-        for r in 0..100 {
+        m.set(2, 290);
+        let mut lo = WideWord::ZERO;
+        lo.set_lane(3);
+        lo.set_lane(70);
+        assert_eq!(m.any_failed_wide(0), lo);
+        let mut hi = WideWord::ZERO;
+        hi.set_lane(290 - 256);
+        assert_eq!(m.any_failed_wide(1), hi);
+        for r in 0..300 {
             let expect = (0..3).any(|c| m.get(c, r));
-            let got = (m.any_failed_word(r / 64) >> (r % 64)) & 1 == 1;
-            assert_eq!(got, expect, "round {r}");
+            assert_eq!(m.any_failed_wide(r / 256).bit(r % 256), expect, "round {r}");
         }
     }
 }

@@ -1,18 +1,14 @@
 //! The 256-lane wide word of the bit-sliced kernel.
 //!
-//! PR 2's route-and-check kernel processes 64 sampling rounds per
-//! operation — one `u64` lane word. At Large scale [27072 hosts] the
-//! per-round context (switch-tier digests, fault-tree collapse scratch)
-//! no longer fits hot in cache, so the lane width and the memory layout
-//! must grow together: [`WideWord`] packs **256 rounds** into one value
-//! (4×`u64`, 32-byte aligned so a row of wide words is one cache-line
-//! pair), and [`crate::BitMatrix`] rows are padded to wide-word
-//! alignment so every row can be read wide without bounds fix-ups.
+//! Route-and-check and fault-tree collapse process sampling rounds in
+//! lanes: [`WideWord`] packs **256 rounds** into one value (4×`u64`,
+//! 32-byte aligned so a row of wide words is one cache-line pair), and
+//! [`crate::BitMatrix`] rows are padded to wide-word alignment so every
+//! row can be read wide without bounds fix-ups.
 //!
-//! The type deliberately exposes the same algebra the kernel uses on
-//! `u64` — AND/OR/NOT, population count, lane masks — so the 64-bit path
-//! remains the degenerate width (`WideWord` of one word) and equivalence
-//! tests can pin the two bit-for-bit.
+//! The type exposes the lanewise algebra the kernel needs — AND/OR/NOT,
+//! population count, lane masks, set-lane iteration — and nothing that
+//! lets lanes interact, which is the kernel's whole correctness argument.
 
 use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, Not};
 
@@ -62,6 +58,26 @@ impl WideWord {
         (self.0[lane / 64] >> (lane % 64)) & 1 == 1
     }
 
+    /// Sets lane `lane`.
+    #[inline]
+    pub fn set_lane(&mut self, lane: usize) {
+        self.0[lane / 64] |= 1u64 << (lane % 64);
+    }
+
+    /// Indices of the set lanes, ascending.
+    pub fn iter_ones(self) -> impl Iterator<Item = usize> {
+        self.0.into_iter().enumerate().flat_map(|(i, mut w)| {
+            std::iter::from_fn(move || {
+                if w == 0 {
+                    return None;
+                }
+                let r = w.trailing_zeros() as usize;
+                w &= w - 1;
+                Some(i * 64 + r)
+            })
+        })
+    }
+
     /// Number of set lanes.
     #[inline]
     pub fn count_ones(&self) -> u32 {
@@ -81,8 +97,6 @@ impl WideWord {
     }
 
     /// Mask of the low `n` lanes (`n ≤ 256`): lane r set iff `r < n`.
-    /// This is the wide analogue of the `(1 << n) - 1` tail masks of the
-    /// 64-bit path.
     #[inline]
     pub fn lane_mask(n: usize) -> Self {
         debug_assert!(n <= Self::LANES, "a wide word holds at most 256 lanes");
@@ -193,14 +207,17 @@ mod tests {
 
     #[test]
     fn bit_reads_cross_word_lanes() {
+        let set = [0usize, 63, 64, 127, 128, 200, 255];
         let mut w = WideWord::ZERO;
-        for lane in [0usize, 63, 64, 127, 128, 200, 255] {
-            w.set_word(lane / 64, w.word(lane / 64) | 1 << (lane % 64));
+        for lane in set {
+            w.set_lane(lane);
         }
         for lane in 0..256 {
-            let expect = [0usize, 63, 64, 127, 128, 200, 255].contains(&lane);
-            assert_eq!(w.bit(lane), expect, "lane {lane}");
+            assert_eq!(w.bit(lane), set.contains(&lane), "lane {lane}");
         }
+        assert_eq!(w.iter_ones().collect::<Vec<_>>(), set);
+        assert_eq!(WideWord::ZERO.iter_ones().count(), 0);
+        assert_eq!(WideWord::ONES.iter_ones().count(), 256);
     }
 
     #[test]

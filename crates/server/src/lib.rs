@@ -11,7 +11,7 @@
 //!
 //! * [`protocol`] — the RCS1 length-prefixed binary frame codec
 //!   (requests: Ping / AssessPlan / SearchPlacement / ComparePlans /
-//!   Stats / Shutdown / MetricsDump / AssessStream / AssessCancel;
+//!   Shutdown / MetricsDump / AssessStream / AssessCancel;
 //!   responses incl. Busy, Error, and streamed Partial), built on the
 //!   same `recloud::wire` substrate as the parallel assessor's RCW1
 //!   codec;

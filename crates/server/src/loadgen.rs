@@ -12,10 +12,9 @@
 //!   serving layer's frame/dispatch overhead.
 //!
 //! [`smoke`] is the CI gate: Ping, a Tiny assessment, the same assessment
-//! again (must be a cache hit), a Stats read proving the hit counted, a
-//! MetricsDump proving the instruments actually recorded (non-zero
-//! request counter, non-empty assess latency histogram), and a clean
-//! Shutdown.
+//! again (must be a cache hit), a MetricsDump proving the hit counted and
+//! the instruments actually recorded (cache-hit and request counters,
+//! non-empty assess latency histogram), and a clean Shutdown.
 
 use crate::client::Client;
 use crate::protocol::{AssessRequest, Preset};
@@ -292,19 +291,16 @@ pub fn smoke(addr: &str) -> Result<(), String> {
         return Err("cached score differs from computed score".into());
     }
 
-    let stats = client.stats().map_err(|e| step("stats", e))?;
-    if stats.cache_hits == 0 {
-        return Err("stats report zero cache hits after a hit".into());
-    }
-    if stats.received < 3 {
-        return Err(format!("stats counted only {} requests", stats.received));
-    }
-
-    // The metrics gate: the observability layer must have seen the same
-    // traffic the legacy Stats counters did.
+    // The metrics gate: the observability layer must have seen the
+    // traffic above — the hit counted, every request counted.
     let metrics = client.metrics(64).map_err(|e| step("metrics dump", e))?;
+    match metrics.snapshot.counter("server.cache_hits_total") {
+        None | Some(0) => return Err("metrics report zero cache hits after a hit".into()),
+        Some(_) => {}
+    }
     match metrics.snapshot.counter("server.requests_total") {
-        None | Some(0) => return Err("metrics report zero server.requests_total".into()),
+        None => return Err("metrics lack server.requests_total".into()),
+        Some(n) if n < 3 => return Err(format!("metrics counted only {n} requests")),
         Some(_) => {}
     }
     match metrics.snapshot.histogram("server.latency_us.assess") {

@@ -15,7 +15,7 @@
 //! | 0x02 | AssessPlan       | `preset:u8 rounds:u32 seed:u64 k:u32 n:u32 n_layers:u32 { n_hosts:u32 host:u32… }…` |
 //! | 0x03 | SearchPlacement  | `preset:u8 rounds:u32 seed:u64 k:u32 n:u32 budget_ms:u32` |
 //! | 0x04 | ComparePlans     | `preset:u8 rounds:u32 seed:u64 k:u32 n:u32 n_plans:u32 { n_hosts:u32 host:u32… }…` |
-//! | 0x05 | Stats            | (empty) |
+//! | 0x05 | *(retired)*      | rejected as an unknown kind |
 //! | 0x06 | Shutdown         | (empty) |
 //! | 0x07 | MetricsDump      | `journal_tail:u32` |
 //! | 0x08 | AssessStream     | AssessPlan body, then `cadence:u32` (partial every `cadence` chunks) |
@@ -35,7 +35,7 @@
 //! | 0x82 | AssessResult | `score:f64 variance:f64 rounds:u64 successes:u64 cached:u8` |
 //! | 0x83 | SearchResult | `reliability:f64 ciw95:f64 plans_assessed:u64 n_hosts:u32 host:u32…` |
 //! | 0x84 | CompareResult| `n:u32 { input_index:u32 score:f64 ciw95:f64 tied:u8 }…` |
-//! | 0x85 | StatsResult  | six `u64` then three `u32` counters (see [`StatsResponse`]) |
+//! | 0x85 | *(retired)*  | rejected as an unknown kind |
 //! | 0x86 | Busy         | `queued:u32 capacity:u32` |
 //! | 0x87 | Error        | `code:u8 msg_len:u16 msg:utf8…` |
 //! | 0x88 | ShutdownAck  | `completed:u64` |
@@ -317,13 +317,10 @@ pub enum Request {
     SearchPlacement(SearchRequest),
     /// Rank candidate plans.
     ComparePlans(CompareRequest),
-    /// Read server counters.
-    Stats,
     /// Drain in-flight jobs and exit.
     Shutdown,
     /// Read the full instrument snapshot (counters, gauges, latency
-    /// histograms) plus the newest journal events. Supersedes
-    /// [`Request::Stats`].
+    /// histograms) plus the newest journal events.
     MetricsDump {
         /// How many of the newest journal events to include (0 = none).
         journal_tail: u32,
@@ -523,38 +520,6 @@ pub struct CompareResponse {
     pub ranking: Vec<CompareEntry>,
 }
 
-/// Server counters, all monotonic since start except `queued`: exactly
-/// six `u64` fields followed by three `u32` fields, encoded in
-/// declaration order (the doc table's "nine counters").
-///
-/// **Deprecated in favor of [`Request::MetricsDump`] /
-/// [`Response::Metrics`]**, which carries full latency distributions,
-/// gauges and the event journal instead of nine bare totals. The Stats
-/// frame (0x05/0x85) is kept wire-compatible for existing clients; new
-/// code should prefer MetricsDump. (Not `#[deprecated]` — the daemon
-/// itself still answers Stats, and builds are `-D warnings`.)
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsResponse {
-    /// Requests received (all kinds).
-    pub received: u64,
-    /// Jobs completed by workers.
-    pub completed: u64,
-    /// Assessments answered from the result cache.
-    pub cache_hits: u64,
-    /// Assessments that missed the cache.
-    pub cache_misses: u64,
-    /// Requests rejected with Busy (queue full).
-    pub busy_rejections: u64,
-    /// Connections dropped for protocol errors.
-    pub protocol_errors: u64,
-    /// Jobs currently queued.
-    pub queued: u32,
-    /// Admission-control queue capacity.
-    pub capacity: u32,
-    /// Worker-pool size.
-    pub workers: u32,
-}
-
 /// A running estimate mid-stream: the (R, CIW) pair of Eqs 1 and 3 over
 /// the rounds fed so far. `rounds_done` is monotonically nondecreasing
 /// across the partials of one stream.
@@ -652,8 +617,6 @@ pub enum Response {
     Search(SearchResponse),
     /// Comparison result.
     Compare(CompareResponse),
-    /// Counter snapshot.
-    Stats(StatsResponse),
     /// Admission control rejected the request; retry later.
     Busy {
         /// Jobs queued at rejection time.
@@ -910,11 +873,6 @@ impl Request {
                 put_host_lists(&mut w, &c.plans);
                 w.freeze()
             }
-            Request::Stats => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN);
-                put_header(&mut w, 0x05);
-                w.freeze()
-            }
             Request::Shutdown => {
                 let mut w = ByteWriter::with_capacity(HEADER_LEN);
                 put_header(&mut w, 0x06);
@@ -1024,7 +982,6 @@ impl Request {
                 n: r.get_u32_le().ok_or(ProtoError::Truncated)?,
                 plans: get_host_lists(&mut r)?,
             }),
-            0x05 => Request::Stats,
             0x06 => Request::Shutdown,
             0x07 => {
                 Request::MetricsDump { journal_tail: r.get_u32_le().ok_or(ProtoError::Truncated)? }
@@ -1117,20 +1074,6 @@ impl Response {
                     w.put_f64_le(e.ciw95);
                     w.put_u8(e.tied_with_best as u8);
                 }
-                w.freeze()
-            }
-            Response::Stats(s) => {
-                let mut w = ByteWriter::with_capacity(HEADER_LEN + 6 * 8 + 3 * 4);
-                put_header(&mut w, 0x85);
-                w.put_u64_le(s.received);
-                w.put_u64_le(s.completed);
-                w.put_u64_le(s.cache_hits);
-                w.put_u64_le(s.cache_misses);
-                w.put_u64_le(s.busy_rejections);
-                w.put_u64_le(s.protocol_errors);
-                w.put_u32_le(s.queued);
-                w.put_u32_le(s.capacity);
-                w.put_u32_le(s.workers);
                 w.freeze()
             }
             Response::Busy { queued, capacity } => {
@@ -1251,17 +1194,6 @@ impl Response {
                 }
                 Response::Compare(CompareResponse { ranking })
             }
-            0x85 => Response::Stats(StatsResponse {
-                received: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                completed: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                cache_hits: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                cache_misses: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                busy_rejections: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                protocol_errors: r.get_u64_le().ok_or(ProtoError::Truncated)?,
-                queued: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-                capacity: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-                workers: r.get_u32_le().ok_or(ProtoError::Truncated)?,
-            }),
             0x86 => Response::Busy {
                 queued: r.get_u32_le().ok_or(ProtoError::Truncated)?,
                 capacity: r.get_u32_le().ok_or(ProtoError::Truncated)?,
@@ -1387,7 +1319,6 @@ pub fn validate_shape(req: &Request) -> Result<(), String> {
     };
     match req {
         Request::Ping { .. }
-        | Request::Stats
         | Request::Shutdown
         | Request::MetricsDump { .. }
         | Request::AssessCancel
@@ -1515,7 +1446,6 @@ mod tests {
                 n: 2,
                 plans: vec![vec![72, 73], vec![74, 75], vec![76, 77]],
             }),
-            Request::Stats,
             Request::Shutdown,
             Request::MetricsDump { journal_tail: 0 },
             Request::MetricsDump { journal_tail: 256 },
@@ -1636,17 +1566,6 @@ mod tests {
                     },
                 ],
             }),
-            Response::Stats(StatsResponse {
-                received: 100,
-                completed: 90,
-                cache_hits: 40,
-                cache_misses: 50,
-                busy_rejections: 3,
-                protocol_errors: 2,
-                queued: 5,
-                capacity: 64,
-                workers: 4,
-            }),
             Response::Busy { queued: 64, capacity: 64 },
             Response::Error { code: ErrorCode::Invalid, message: "id 9999 is not a host".into() },
             Response::Error { code: ErrorCode::Oversized, message: String::new() },
@@ -1737,7 +1656,7 @@ mod tests {
     #[test]
     fn trailing_bytes_are_rejected() {
         let mut w = ByteWriter::new();
-        w.put_slice(&Request::Stats.encode());
+        w.put_slice(&Request::Shutdown.encode());
         w.put_u8(0);
         assert_eq!(Request::decode(w.freeze()), Err(ProtoError::TrailingBytes(1)));
     }
@@ -1806,7 +1725,7 @@ mod tests {
 
     #[test]
     fn half_written_frame_is_unexpected_eof() {
-        let payload = Request::Stats.encode();
+        let payload = Request::Shutdown.encode();
         let mut wire = Vec::new();
         write_frame(&mut wire, &payload).unwrap();
         wire.truncate(wire.len() - 2);
@@ -1916,28 +1835,23 @@ mod tests {
         }
     }
 
-    /// Satellite: the deprecated Stats frame and its MetricsDump
-    /// successor both round-trip — wire compatibility is kept while the
-    /// richer frame takes over. Also pins the Stats layout to exactly
-    /// six `u64` + three `u32` (the "nine counters" the docs promise).
+    /// The retired Stats kinds (0x05 request, 0x85 response) decode
+    /// exactly as any other unknown kind does.
     #[test]
-    fn stats_and_metrics_dump_frames_both_roundtrip() {
-        let stats = Response::Stats(StatsResponse {
-            received: 1,
-            completed: 2,
-            cache_hits: 3,
-            cache_misses: 4,
-            busy_rejections: 5,
-            protocol_errors: 6,
-            queued: 7,
-            capacity: 8,
-            workers: 9,
-        });
-        let bytes = stats.encode();
-        assert_eq!(bytes.len(), HEADER_LEN + 6 * 8 + 3 * 4, "six u64 + three u32");
-        assert_eq!(Response::decode(bytes.clone()).unwrap(), stats);
-        assert_eq!(Response::decode(bytes.clone()).unwrap().encode(), bytes);
+    fn retired_stats_kinds_are_rejected_as_unknown() {
+        for kind in [0x05u8, 0x85] {
+            let mut w = ByteWriter::new();
+            put_header(&mut w, kind);
+            let frame = w.freeze();
+            assert_eq!(Request::decode(frame.clone()), Err(ProtoError::BadKind(kind)));
+            assert_eq!(Response::decode(frame), Err(ProtoError::BadKind(kind)));
+        }
+    }
 
+    /// MetricsDump request and MetricsResult response round-trip, and the
+    /// re-encode is byte-identical.
+    #[test]
+    fn metrics_dump_frames_roundtrip() {
         let dump = Request::MetricsDump { journal_tail: 64 };
         assert_eq!(Request::decode(dump.encode()).unwrap(), dump);
         let metrics = Response::Metrics(sample_metrics());

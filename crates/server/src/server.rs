@@ -48,7 +48,7 @@ use crate::engine::{build_plan, shape_for, spec_for, EnginePool};
 use crate::protocol::{
     validate_shape, AssessRequest, AssessResponse, CacheSegmentResponse, CompareRequest, ErrorCode,
     MetricsResponse, PartialResponse, Request, Response, SearchEventResponse, SearchRequest,
-    StatsResponse, TraceResponse, TraceSpan, DEFAULT_TENANT, MAX_FRAME_LEN, MAX_SYNC_ENTRIES,
+    TraceResponse, TraceSpan, DEFAULT_TENANT, MAX_FRAME_LEN, MAX_SYNC_ENTRIES,
 };
 use crate::reactor::{raw_fd, Poller, PollerKind, Waker};
 use recloud::sync::{self, Receiver, Sender, TryRecvError};
@@ -155,8 +155,8 @@ struct Counters {
 /// excluded — its "latency" is the drain, not a serving cost — and so is
 /// `AssessCancel`, which has no reply frame. A `stream` sample is the
 /// whole exchange, first partial to final frame.
-const LATENCY_KINDS: [&str; 9] =
-    ["ping", "assess", "search", "compare", "stats", "metrics", "stream", "search_stream", "sync"];
+const LATENCY_KINDS: [&str; 8] =
+    ["ping", "assess", "search", "compare", "metrics", "stream", "search_stream", "sync"];
 
 /// Per-server observability handles, backed by a private
 /// [`Registry`] so concurrent servers (and tests) see isolated,
@@ -242,11 +242,10 @@ impl ServerInstruments {
             Request::AssessPlan(_) => Some(1),
             Request::SearchPlacement(_) => Some(2),
             Request::ComparePlans(_) => Some(3),
-            Request::Stats => Some(4),
-            Request::MetricsDump { .. } => Some(5),
-            Request::AssessStream { .. } => Some(6),
-            Request::SearchStream { .. } => Some(7),
-            Request::CacheSync { .. } => Some(8),
+            Request::MetricsDump { .. } => Some(4),
+            Request::AssessStream { .. } => Some(5),
+            Request::SearchStream { .. } => Some(6),
+            Request::CacheSync { .. } => Some(7),
             // Trace frames are connection-side bookkeeping (two of the
             // three don't even reply) — no latency histogram. Hello is
             // likewise per-connection setup, not served work.
@@ -422,21 +421,6 @@ impl Server {
             cache_misses: self.counters.cache_misses.load(Ordering::Relaxed),
             busy_rejections: self.counters.busy_rejections.load(Ordering::Relaxed),
             protocol_errors: self.counters.protocol_errors.load(Ordering::Relaxed),
-        }
-    }
-
-    fn stats(&self) -> StatsResponse {
-        let s = self.summary();
-        StatsResponse {
-            received: s.received,
-            completed: s.completed,
-            cache_hits: s.cache_hits,
-            cache_misses: s.cache_misses,
-            busy_rejections: s.busy_rejections,
-            protocol_errors: s.protocol_errors,
-            queued: self.depth.load(Ordering::Relaxed) as u32,
-            capacity: self.config.queue_capacity as u32,
-            workers: self.config.workers as u32,
         }
     }
 
@@ -1355,10 +1339,6 @@ impl<'a> Reactor<'a> {
         let (kind, cancel) = match request {
             Request::Ping { token } => {
                 buffer_frame(conn, &Response::Pong { token });
-                return false;
-            }
-            Request::Stats => {
-                buffer_frame(conn, &Response::Stats(self.srv.stats()));
                 return false;
             }
             Request::MetricsDump { journal_tail } => {

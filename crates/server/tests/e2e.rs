@@ -103,11 +103,10 @@ fn repeat_requests_hit_the_cache_and_stats_count_them() {
     let reseeded = client.assess(AssessRequest { seed: 10, ..request }).unwrap();
     assert!(!reseeded.cached);
 
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.cache_hits, 1);
-    assert_eq!(stats.cache_misses, 2);
-    assert_eq!(stats.workers, 2);
-    assert!(stats.received >= 4);
+    let m = client.metrics(0).unwrap().snapshot;
+    assert_eq!(m.counter("server.cache_hits_total"), Some(1));
+    assert_eq!(m.counter("server.cache_misses_total"), Some(2));
+    assert!(m.counter("server.requests_total").unwrap() >= 4);
 
     let summary = stop(daemon, &mut client);
     assert_eq!(summary.cache_hits, 1);

@@ -119,10 +119,11 @@ fn full_queue_answers_busy_and_recovers() {
         }
         other => panic!("expected Busy, got {other:?}"),
     }
-    // Control frames bypass admission: ping and stats still answer.
+    // Control frames bypass admission: ping and a metrics dump still
+    // answer.
     assert_eq!(client.ping(1).unwrap(), 1);
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.busy_rejections, 1);
+    let m = client.metrics(0).unwrap().snapshot;
+    assert_eq!(m.counter("server.busy_total"), Some(1));
 
     client.shutdown().unwrap();
     let summary = handle.join().unwrap();

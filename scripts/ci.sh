@@ -23,14 +23,20 @@ RUSTFLAGS="-D warnings" cargo build --release --workspace --all-targets
 echo "== test suite (all workspace crates) =="
 cargo test -q --workspace
 
+echo "== benchmark build and self-test =="
+# perfbench/ is a Cargo workspace of its own, so the workspace test step
+# above never compiles it; a public-API change in crates/* could break
+# the benchmark with every other gate green.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== hermetic dependency guard =="
 cargo test -q --test hermetic
 
 echo "== server smoke test =="
 # Start the daemon on an ephemeral port, discover the port via
 # --port-file, run the loadgen smoke sequence (Ping, a Tiny AssessPlan
-# twice — the repeat must be a cache hit — Stats, Shutdown), then assert
-# the daemon exits cleanly on its own.
+# twice — the repeat must be a cache hit — MetricsDump, Shutdown), then
+# assert the daemon exits cleanly on its own.
 PORT_FILE="$(mktemp)"
 rm -f "$PORT_FILE"
 target/release/recloud serve --port 0 --port-file "$PORT_FILE" &

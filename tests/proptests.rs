@@ -9,7 +9,7 @@
 use recloud::prelude::*;
 use recloud::proptest::forall;
 use recloud::routing::{FatTreeRouter, GenericRouter, Router, UpDownRouter};
-use recloud::sampling::BitMatrix;
+use recloud::sampling::{BitMatrix, WideWord};
 use recloud::{prop_assert, prop_assert_eq, prop_assume};
 
 /// BitMatrix set/get/count algebra over arbitrary shapes.
@@ -36,17 +36,17 @@ fn bitmatrix_set_get_count() {
     });
 }
 
-/// Word writes are equivalent to bit writes.
+/// Wide-word writes are equivalent to bit writes, tail lanes included.
 #[test]
 fn bitmatrix_word_vs_bit_writes() {
-    forall("word writes equal bit writes", |g| {
-        let rounds = g.usize_in(1..130);
-        let word = g.any_u64();
+    forall("wide-word writes equal bit writes", |g| {
+        let rounds = g.usize_in(1..300);
+        let wide = WideWord([g.any_u64(), g.any_u64(), g.any_u64(), g.any_u64()]);
         let mut a = BitMatrix::new(1, rounds);
         let mut b = BitMatrix::new(1, rounds);
-        a.set_word(0, 0, word);
-        for r in 0..rounds.min(64) {
-            if (word >> r) & 1 == 1 {
+        a.set_wide_word(0, 0, wide);
+        for r in 0..rounds.min(WideWord::LANES) {
+            if wide.bit(r) {
                 b.set(0, r);
             }
         }
@@ -170,13 +170,13 @@ fn routers_agree_on_random_failures() {
     });
 }
 
-/// The word-granular router API agrees bit-for-bit with the scalar API on
-/// every router, over arbitrary failure patterns and word-boundary round
-/// counts (tails shorter and longer than one word).
+/// The wide router API agrees lane-for-lane with the scalar API on every
+/// router, over arbitrary failure patterns and round counts straddling the
+/// 256-lane boundary (tails shorter and longer than one wide word).
 #[test]
-fn word_router_api_equals_scalar_api() {
-    forall("word router API equals scalar", |g| {
-        let rounds = g.usize_in(1..140);
+fn wide_router_api_equals_scalar_api() {
+    forall("wide router API equals scalar", |g| {
+        let rounds = g.usize_in(1..530);
         let density = g.f64_in(0.0..0.35);
         let seed = g.any_u64();
         let t = FatTreeParams::new(4).build();
@@ -204,7 +204,7 @@ fn word_router_api_equals_scalar_api() {
             Box::new(GenericRouter::new(&t)),
         ];
         for mut router in routers {
-            // Scalar truth first (the word API may clobber scalar context).
+            // Scalar truth first (the wide API may clobber scalar context).
             let mut want_ext = vec![false; rounds];
             let mut want_conn = vec![false; rounds];
             for r in 0..rounds {
@@ -212,20 +212,20 @@ fn word_router_api_equals_scalar_api() {
                 want_ext[r] = router.external_reaches(&states, ha);
                 want_conn[r] = router.connects(&states, ha, hb);
             }
-            for w in 0..rounds.div_ceil(64) {
-                router.begin_word(&states, w);
-                let ext = router.external_reach_word(&states, ha, w);
-                let conn = router.connects_word(&states, ha, hb, w);
-                for r in (w * 64)..((w * 64) + 64).min(rounds) {
-                    let bit = 1u64 << (r - w * 64);
+            for ww in 0..states.wide_words_per_row() {
+                router.begin_wide(&states, ww);
+                let ext = router.external_reach_wide(&states, ha, ww);
+                let conn = router.connects_wide(&states, ha, hb, ww);
+                for lane in 0..states.rounds_in_wide(ww) {
+                    let r = ww * WideWord::LANES + lane;
                     prop_assert_eq!(
-                        ext & bit != 0,
+                        ext.bit(lane),
                         want_ext[r],
                         "{}: external round {r}",
                         router.name()
                     );
                     prop_assert_eq!(
-                        conn & bit != 0,
+                        conn.bit(lane),
                         want_conn[r],
                         "{}: connects round {r}",
                         router.name()
@@ -268,15 +268,15 @@ fn batched_assessment_equals_scalar() {
     });
 }
 
-/// Every kernel lane width — scalar, 64-lane, 256-lane — yields bit-for-bit
-/// identical estimates across random topologies (fat-tree and leaf-spine,
-/// so both the wide-native and the decomposing generic path are covered),
-/// K-of-N and layered specs, wide-boundary round counts, and 1/2/4 parallel
+/// The scalar and 256-lane kernels yield bit-for-bit identical estimates
+/// across random topologies (fat-tree and leaf-spine, so both the
+/// wide-native and the screen-then-scalar generic path are covered), K-of-N
+/// and layered specs, wide-boundary round counts, and 1/2/4 parallel
 /// workers.
 #[test]
 fn kernel_widths_agree_across_topologies_specs_and_workers() {
-    use recloud::assess::{BatchWidth, ParallelAssessor};
-    forall("scalar == 64-lane == 256-lane across workers", |g| {
+    use recloud::assess::ParallelAssessor;
+    forall("scalar == 256-lane across workers", |g| {
         let t = if g.any_bool() {
             FatTreeParams::new(4).build()
         } else {
@@ -297,19 +297,15 @@ fn kernel_widths_agree_across_topologies_specs_and_workers() {
         let plan = DeploymentPlan::random(&spec, t.hosts(), &mut rng);
 
         let mut scalar = Assessor::new(&t, model.clone());
-        scalar.set_width(BatchWidth::Scalar);
+        scalar.set_batched(false);
         let want = scalar.assess(&spec, &plan, rounds, seed ^ 0x5A5A).estimate;
-        for width in [BatchWidth::Word64, BatchWidth::Wide256] {
-            let mut a = Assessor::new(&t, model.clone());
-            a.set_width(width);
-            let got = a.assess(&spec, &plan, rounds, seed ^ 0x5A5A).estimate;
-            prop_assert_eq!(got.rounds, want.rounds);
-            prop_assert_eq!(got.successes, want.successes, "{width:?} rounds={rounds}");
-            prop_assert_eq!(got.score.to_bits(), want.score.to_bits(), "{width:?}");
-        }
+        let mut wide = Assessor::new(&t, model.clone());
+        let got = wide.assess(&spec, &plan, rounds, seed ^ 0x5A5A).estimate;
+        prop_assert_eq!(got.rounds, want.rounds);
+        prop_assert_eq!(got.successes, want.successes, "rounds={rounds}");
+        prop_assert_eq!(got.score.to_bits(), want.score.to_bits());
         let workers = [1usize, 2, 4][g.usize_in(0..3)];
-        let mut par = ParallelAssessor::new(&t, model, workers);
-        par.set_width([BatchWidth::Word64, BatchWidth::Wide256][g.usize_in(0..2)]);
+        let par = ParallelAssessor::new(&t, model, workers);
         let got = par.assess(&spec, &plan, rounds, seed ^ 0x5A5A).estimate;
         prop_assert_eq!(got.successes, want.successes, "parallel workers={workers}");
         prop_assert_eq!(got.rounds, want.rounds);
