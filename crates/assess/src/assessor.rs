@@ -17,8 +17,8 @@ use recloud_faults::{FaultInjector, FaultModel};
 use recloud_obs::{Counter, Gauge, Histogram};
 use recloud_routing::{make_router, Router};
 use recloud_sampling::{
-    BitMatrix, ExtendedDaggerSampler, MonteCarloSampler, ReliabilityEstimate, ResultAccumulator,
-    Sampler, WideWord,
+    BitMatrix, DaggerSchedule, ExtendedDaggerSampler, MonteCarloSampler, ReliabilityEstimate,
+    ResultAccumulator, Sampler, WideWord,
 };
 use recloud_topology::Topology;
 use std::ops::ControlFlow;
@@ -40,30 +40,6 @@ impl SamplerKind {
         match self {
             SamplerKind::ExtendedDagger => "dagger",
             SamplerKind::MonteCarlo => "monte-carlo",
-        }
-    }
-}
-
-/// A stack-allocated sampler of either kind. `run_chunk` constructs one
-/// per chunk; using an enum instead of `Box<dyn Sampler>` keeps the chunk
-/// hot loop free of heap allocation (both samplers are a bare RNG).
-enum AnySampler {
-    Dagger(ExtendedDaggerSampler),
-    Mc(MonteCarloSampler),
-}
-
-impl AnySampler {
-    fn new(kind: SamplerKind, seed: u64) -> Self {
-        match kind {
-            SamplerKind::ExtendedDagger => AnySampler::Dagger(ExtendedDaggerSampler::seeded(seed)),
-            SamplerKind::MonteCarlo => AnySampler::Mc(MonteCarloSampler::seeded(seed)),
-        }
-    }
-
-    fn sample_into(&mut self, probs: &[f64], matrix: &mut BitMatrix) {
-        match self {
-            AnySampler::Dagger(s) => s.sample_into(probs, matrix),
-            AnySampler::Mc(s) => s.sample_into(probs, matrix),
         }
     }
 }
@@ -117,9 +93,12 @@ pub struct DrivenAssessment {
 
 /// Reusable assessment engine for one (topology, fault model) pair.
 ///
-/// Construction allocates all scratch (state matrices, router, block
-/// buffers); assessing N plans performs no further allocation beyond the
-/// per-plan [`StructureChecker`].
+/// Construction builds the router, the draw schedule and the raw event
+/// matrix. The first drive creates one table slot per chunk; every later
+/// drive — on a new seed, a reseeded model or a cached table — reuses
+/// them, so a warm engine assesses N plans without allocating anything
+/// table-sized: only the per-plan [`StructureChecker`] and the drive's
+/// small chunk bookkeeping.
 pub struct Assessor {
     topology: Topology,
     model: FaultModel,
@@ -129,14 +108,14 @@ pub struct Assessor {
     /// then rounded up to the kernel lane width (256), and identical for
     /// serial and parallel execution.
     chunk_rounds: usize,
-    /// Per-chunk scratch matrices, sized once and reused for every chunk.
-    arena: ChunkArena,
-    /// Collapsed tables of the most recent master seed, one per chunk.
-    /// Lets common-random-number searches (which assess every plan on the
-    /// same table, §3.3) skip sampling and collapsing entirely after the
-    /// first plan. The failure-state table does not depend on the plan
-    /// (§3.2.1), so this is a pure cache.
-    table_cache: Option<TableCache>,
+    /// The model's extended-dagger draw plan for one chunk, rebuilt in
+    /// place by `reseed`.
+    schedule: DaggerSchedule,
+    /// Raw sampled-event scratch, rewritten by every fresh chunk.
+    raw: BitMatrix,
+    /// Collapsed tables, one slot per chunk: fresh chunks collapse into
+    /// them and route-and-check reads them in place.
+    tables: TableCache,
     /// Optional fault injection applied to every sampled chunk before
     /// fault-tree collapsing — forced failures flow through the full
     /// correlated-failure path (what-if analyses, sensitivity reports).
@@ -150,33 +129,47 @@ pub struct Assessor {
     obs: AssessInstruments,
 }
 
+/// The collapsed failure-state tables, one slot per chunk index. The first
+/// `valid` slots hold the tables of `master_seed`, which lets
+/// common-random-number searches (which assess every plan on the same
+/// table, §3.3) skip sampling and collapsing after the first plan; the
+/// failure-state table does not depend on the plan (§3.2.1), so this is a
+/// pure cache. Slots past `valid` are storage the next fresh chunks
+/// collapse into, reshaped in place when the chunk width changed.
+#[derive(Default)]
 struct TableCache {
     master_seed: u64,
-    chunks: Vec<BitMatrix>,
+    valid: usize,
+    slots: Vec<BitMatrix>,
 }
 
-/// The reusable per-chunk scratch arena: the raw sampled-event matrix and
-/// the collapsed effective-state matrix, both wide-word aligned. Sized
-/// once per (model shape, chunk width) — at construction or reseed — and
-/// written in place by every chunk thereafter, so the sample → collapse →
-/// check hot loop performs no allocation.
-struct ChunkArena {
-    raw: BitMatrix,
-    collapsed: BitMatrix,
-}
-
-impl ChunkArena {
-    fn new(events: usize, components: usize, chunk_rounds: usize) -> Self {
-        ChunkArena {
-            raw: BitMatrix::new(events, chunk_rounds),
-            collapsed: BitMatrix::new(components, chunk_rounds),
-        }
+impl TableCache {
+    /// True when the first `chunks` tables of `seed` are cached.
+    fn holds(&self, seed: u64, chunks: usize) -> bool {
+        self.master_seed == seed && self.valid >= chunks
     }
 
-    /// Resident bytes of both matrices — exported as `assess.arena_bytes`.
+    /// Bytes of the valid tables.
     fn bytes(&self) -> usize {
-        self.raw.bytes() + self.collapsed.bytes()
+        self.slots[..self.valid].iter().map(BitMatrix::bytes).sum()
     }
+
+    /// Slot `i`, shaped `components × rounds`; `i` is at most the slot
+    /// count, since chunks run in index order.
+    fn slot(&mut self, i: usize, components: usize, rounds: usize) -> &mut BitMatrix {
+        if i == self.slots.len() {
+            self.slots.push(BitMatrix::new(components, rounds));
+        }
+        shaped(&mut self.slots[i], components, rounds)
+    }
+}
+
+/// `m`, reshaped in place to `components × rounds` if it has another shape.
+fn shaped(m: &mut BitMatrix, components: usize, rounds: usize) -> &mut BitMatrix {
+    if (m.components(), m.rounds()) != (components, rounds) {
+        m.reshape(components, rounds);
+    }
+    m
 }
 
 /// Cached handles into the process-wide [`recloud_obs::global()`]
@@ -193,8 +186,8 @@ struct AssessInstruments {
     assessments_total: Arc<Counter>,
     /// Current collapsed-table cache footprint of the newest engine.
     cache_bytes: Arc<Gauge>,
-    /// Current chunk-arena footprint (raw + collapsed scratch matrices)
-    /// of the newest engine.
+    /// Current chunk storage (raw matrix + every table slot) of the newest
+    /// engine.
     arena_bytes: Arc<Gauge>,
 }
 
@@ -221,10 +214,9 @@ impl Assessor {
     /// statistically harmless.
     const TARGET_CHUNK: usize = 2_500;
 
-    /// The chunk width for a probability vector: macro-cycle aligned, then
+    /// The chunk width for a macro-cycle: macro-cycle aligned, then
     /// lane-width aligned.
-    fn chunk_width(probs: &[f64]) -> usize {
-        let s_max = ExtendedDaggerSampler::macro_cycle(probs);
+    fn chunk_width(s_max: usize) -> usize {
         (Self::TARGET_CHUNK.div_ceil(s_max) * s_max).next_multiple_of(WideWord::LANES)
     }
 
@@ -235,17 +227,18 @@ impl Assessor {
 
     /// Creates an assessor with an explicit sampler choice.
     pub fn with_sampler(topology: &Topology, model: FaultModel, kind: SamplerKind) -> Self {
-        let chunk_rounds = Self::chunk_width(model.probs());
-        let arena =
-            ChunkArena::new(model.num_events(), model.num_topology_components(), chunk_rounds);
+        let mut schedule = DaggerSchedule::default();
+        schedule.rebuild(model.probs(), Self::chunk_width);
+        let chunk_rounds = schedule.rounds();
         Assessor {
             topology: topology.clone(),
+            raw: BitMatrix::new(model.num_events(), chunk_rounds),
             model,
             kind,
             router: make_router(topology),
             chunk_rounds,
-            arena,
-            table_cache: None,
+            schedule,
+            tables: TableCache::default(),
             injector: None,
             batched: true,
             obs: AssessInstruments::from_global(),
@@ -256,11 +249,12 @@ impl Assessor {
     /// chunk. Invalidates the table cache.
     pub fn set_injector(&mut self, injector: Option<FaultInjector>) {
         self.injector = injector;
-        self.table_cache = None;
+        self.tables.valid = 0;
     }
 
-    /// Replaces the fault model, keeping the topology, router and — when
-    /// the new model has the same matrix shapes — the scratch allocations.
+    /// Replaces the fault model, keeping the topology, router and chunk
+    /// storage (reshaped in place by the next chunks if the chunk width or
+    /// event count changed).
     ///
     /// This is what lets a long-running server reuse one engine across
     /// requests with different model seeds: router construction (the
@@ -279,14 +273,10 @@ impl Assessor {
             self.topology.num_components(),
             "model was built for a different topology"
         );
-        let chunk_rounds = Self::chunk_width(model.probs());
-        if chunk_rounds != self.chunk_rounds || model.num_events() != self.model.num_events() {
-            self.chunk_rounds = chunk_rounds;
-            self.arena =
-                ChunkArena::new(model.num_events(), model.num_topology_components(), chunk_rounds);
-        }
+        self.schedule.rebuild(model.probs(), Self::chunk_width);
+        self.chunk_rounds = self.schedule.rounds();
         self.model = model;
-        self.table_cache = None;
+        self.tables.valid = 0;
     }
 
     /// Selects the batched (wide, 256-rounds-per-operation) or scalar
@@ -301,21 +291,19 @@ impl Assessor {
         self.batched
     }
 
-    /// Bytes held by the reusable per-chunk scratch arena (raw +
-    /// collapsed matrices). Exported as the `assess.arena_bytes` gauge.
+    /// Bytes of all reusable chunk storage: the raw event matrix plus
+    /// every table slot, cached or awaiting reuse. Exported as the
+    /// `assess.arena_bytes` gauge.
     pub fn arena_bytes(&self) -> usize {
-        self.arena.bytes()
+        self.raw.bytes() + self.tables.slots.iter().map(BitMatrix::bytes).sum::<usize>()
     }
 
-    /// Bytes held by the cached collapsed failure-state tables (one
-    /// [`BitMatrix`] clone per chunk). Searches assess thousands of plans
-    /// against one cached table; this keeps that footprint observable so
-    /// it cannot silently balloon.
+    /// Bytes held by the valid cached collapsed failure-state tables of the
+    /// current master seed (one per chunk assessed). Searches assess
+    /// thousands of plans against one cached table; this keeps that
+    /// footprint observable so it cannot silently balloon.
     pub fn cache_bytes(&self) -> usize {
-        match &self.table_cache {
-            Some(c) => c.chunks.iter().map(|m| m.bytes()).sum(),
-            None => 0,
-        }
+        self.tables.bytes()
     }
 
     /// Routes and checks the first `rounds` columns of `table`, feeding
@@ -383,8 +371,28 @@ impl Assessor {
         self.kind.name()
     }
 
+    /// Samples one chunk's raw event states into `raw`, which must be
+    /// shaped for one chunk of the model.
+    fn sample(
+        kind: SamplerKind,
+        schedule: &DaggerSchedule,
+        probs: &[f64],
+        chunk_seed: u64,
+        raw: &mut BitMatrix,
+    ) {
+        match kind {
+            SamplerKind::ExtendedDagger => {
+                ExtendedDaggerSampler::seeded(chunk_seed).sample_scheduled(schedule, raw)
+            }
+            SamplerKind::MonteCarlo => {
+                MonteCarloSampler::seeded(chunk_seed).sample_into(probs, raw)
+            }
+        }
+    }
+
     /// Runs one chunk of rounds, feeding verdicts into `acc`. Exposed for
-    /// the parallel engine's workers.
+    /// the parallel engine's workers. The chunk collapses into the first
+    /// table slot, so no cached table survives it.
     pub fn run_chunk(
         &mut self,
         checker: &mut StructureChecker,
@@ -392,33 +400,40 @@ impl Assessor {
         rounds: usize,
         acc: &mut ResultAccumulator,
     ) -> Timings {
+        self.tables.valid = 0;
+        self.fresh_chunk(0, checker, chunk_seed, rounds, acc)
+    }
+
+    /// Samples, collapses into table slot `slot` and checks one chunk.
+    fn fresh_chunk(
+        &mut self,
+        slot: usize,
+        checker: &mut StructureChecker,
+        chunk_seed: u64,
+        rounds: usize,
+        acc: &mut ResultAccumulator,
+    ) -> Timings {
         assert!(rounds <= self.chunk_rounds, "chunk exceeds scratch capacity");
         let t0 = Instant::now();
-        let mut sampler = AnySampler::new(self.kind, chunk_seed);
-        // The arena matrices are sized for a full chunk; for a short tail
-        // chunk we sample the full arena width and check only the first
-        // `rounds` columns. Sampling whole chunks keeps the matrix shape
-        // fixed (no reallocation) at negligible cost.
+        // The matrices are sized for a full chunk; for a short tail chunk
+        // we sample the full width and check only the first `rounds`
+        // columns. Sampling whole chunks keeps the matrix shape fixed (no
+        // reallocation) at negligible cost.
         let t_sample = Instant::now();
-        sampler.sample_into(self.model.probs(), &mut self.arena.raw);
+        let raw = shaped(&mut self.raw, self.model.num_events(), self.chunk_rounds);
+        Self::sample(self.kind, &self.schedule, self.model.probs(), chunk_seed, raw);
         if let Some(injector) = &self.injector {
-            injector.apply(&mut self.arena.raw);
+            injector.apply(raw);
         }
         let sampling = t_sample.elapsed();
 
         let t_collapse = Instant::now();
-        self.model.collapse_into(&self.arena.raw, &mut self.arena.collapsed);
+        let table = self.tables.slot(slot, self.model.num_topology_components(), self.chunk_rounds);
+        self.model.collapse_into(&self.raw, table);
         let collapse = t_collapse.elapsed();
 
         let t_check = Instant::now();
-        Self::route_and_check(
-            self.router.as_mut(),
-            self.batched,
-            checker,
-            &self.arena.collapsed,
-            rounds,
-            acc,
-        );
+        Self::route_and_check(self.router.as_mut(), self.batched, checker, table, rounds, acc);
         let check = t_check.elapsed();
         // Per-chunk observability is recorded by the AssessmentDriver when
         // this chunk's result is fed back — one recording site for the
@@ -471,53 +486,47 @@ impl Assessor {
         let mut driver = AssessmentDriver::new(self.chunk_layout(rounds), seed, target_ciw);
         let t0 = Instant::now();
 
-        let cache_ok = matches!(&self.table_cache,
-            Some(c) if c.master_seed == seed && c.chunks.len() >= driver.chunks_total());
-        if cache_ok {
-            let cache = self.table_cache.take().expect("checked above");
-            while let Some(task) = driver.next_task() {
+        let cached = self.tables.holds(seed, driver.chunks_total());
+        if !cached {
+            // The fresh chunks recycle the slots in index order; each is a
+            // valid table of `seed` once collapsed. An early-stopped drive
+            // thus caches the tables it did sample: tables are
+            // deterministic per (seed, chunk) and the cache-hit check
+            // requires enough chunks for the follow-up request, so a
+            // partial cache is still a correct cache.
+            self.tables.master_seed = seed;
+            self.tables.valid = 0;
+        }
+        while let Some(task) = driver.next_task() {
+            let chunk = task.chunk as usize;
+            let mut local = ResultAccumulator::new();
+            let timings = if cached {
                 let t_check = Instant::now();
-                let table = &cache.chunks[task.chunk as usize];
-                let mut local = ResultAccumulator::new();
                 Self::route_and_check(
                     self.router.as_mut(),
                     self.batched,
                     &mut checker,
-                    table,
+                    &self.tables.slots[chunk],
                     task.rounds,
                     &mut local,
                 );
-                let timings = Timings { check: t_check.elapsed(), ..Timings::default() };
-                let partial = driver.feed(task.chunk, local.rounds(), local.successes(), &timings);
-                let flow = on_partial(&partial);
-                if partial.stop_hint || flow.is_break() {
-                    break;
-                }
+                Timings { check: t_check.elapsed(), ..Timings::default() }
+            } else {
+                let t = self.fresh_chunk(chunk, &mut checker, task.seed, task.rounds, &mut local);
+                self.tables.valid = chunk + 1;
+                t
+            };
+            let partial = driver.feed(task.chunk, local.rounds(), local.successes(), &timings);
+            let flow = on_partial(&partial);
+            if partial.stop_hint || flow.is_break() {
+                break;
             }
-            self.table_cache = Some(cache);
-        } else {
-            let mut chunks = Vec::with_capacity(driver.chunks_total());
-            while let Some(task) = driver.next_task() {
-                let mut local = ResultAccumulator::new();
-                let t = self.run_chunk(&mut checker, task.seed, task.rounds, &mut local);
-                chunks.push(self.arena.collapsed.clone());
-                let partial = driver.feed(task.chunk, local.rounds(), local.successes(), &t);
-                let flow = on_partial(&partial);
-                if partial.stop_hint || flow.is_break() {
-                    break;
-                }
-            }
-            // An early-stopped drive caches the chunk tables it did
-            // sample: tables are deterministic per (seed, chunk) and the
-            // cache-hit check requires enough chunks for the follow-up
-            // request, so a partial cache is still a correct cache.
-            self.table_cache = Some(TableCache { master_seed: seed, chunks });
         }
         driver.set_total(t0.elapsed());
         self.obs.total_us.record(driver.timings().total.as_micros() as u64);
         self.obs.assessments_total.inc();
         self.obs.cache_bytes.set(self.cache_bytes() as i64);
-        self.obs.arena_bytes.set(self.arena.bytes() as i64);
+        self.obs.arena_bytes.set(self.arena_bytes() as i64);
         DrivenAssessment {
             assessment: Assessment {
                 estimate: driver.estimate(),
@@ -533,8 +542,9 @@ impl Assessor {
     pub fn sampling_time(&mut self, rounds: usize, seed: u64) -> Duration {
         let t0 = Instant::now();
         for (chunk, _n) in self.chunk_layout(rounds) {
-            let mut sampler = AnySampler::new(self.kind, Self::chunk_seed(seed, chunk));
-            sampler.sample_into(self.model.probs(), &mut self.arena.raw);
+            let raw = shaped(&mut self.raw, self.model.num_events(), self.chunk_rounds);
+            let (schedule, probs) = (&self.schedule, self.model.probs());
+            Self::sample(self.kind, schedule, probs, Self::chunk_seed(seed, chunk), raw);
         }
         t0.elapsed()
     }

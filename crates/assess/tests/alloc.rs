@@ -1,34 +1,41 @@
-//! Arena guard: the steady-state chunk loop — sample into the arena,
-//! collapse in place, wide route-and-check — must be allocation-free.
-//! The whole point of the reusable [`ChunkArena`] and the stack-built
-//! samplers is that after the first chunk warms every scratch buffer
-//! (arena matrices at construction, the checker's bit-sliced counters on
-//! first use, the router's wide scratch), subsequent chunks only write
-//! into memory that already exists. A counting global allocator proves
-//! it, so the hot path cannot silently regress back to per-chunk
-//! allocation.
+//! Arena guard: the steady-state chunk loop — sample into the raw
+//! matrix, collapse into a table slot, wide route-and-check — must be
+//! allocation-free, and a warm engine's drives must allocate nothing
+//! table-sized. After the first chunk warms every scratch buffer (the raw
+//! matrix at construction, table slots on first use, the checker's
+//! bit-sliced counters, the router's wide scratch), later chunks only
+//! write into memory that already exists, and later drives collapse into
+//! the table slots the previous seed left behind. A counting global
+//! allocator proves it, so the hot path cannot silently regress back to
+//! per-chunk allocation or per-drive table copies.
 
 use recloud_apps::{ApplicationSpec, DeploymentPlan};
 use recloud_assess::{Assessor, StructureChecker};
-use recloud_faults::FaultModel;
+use recloud_faults::{FaultModel, ProbabilityConfig};
 use recloud_sampling::{ResultAccumulator, Rng};
-use recloud_topology::FatTreeParams;
+use recloud_topology::{FatTreeParams, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 struct CountingAlloc;
 
-// Per-thread allocation counter (const-initialized, no-Drop payload, so
-// reading it inside the allocator neither allocates nor recurses). Only
-// the measuring thread's allocations must count — the libtest harness
-// allocates on other threads concurrently.
+// Per-thread allocation count and largest allocation (const-initialized,
+// no-Drop payloads, so reading them inside the allocator neither
+// allocates nor recurses). Only the measuring thread's allocations must
+// count — the libtest harness allocates on other threads concurrently.
 thread_local! {
     static TL_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static TL_LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn record(size: usize) {
+    TL_ALLOCATIONS.with(|c| c.set(c.get() + 1));
+    TL_LARGEST.with(|c| c.set(c.get().max(size)));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        TL_ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        record(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -37,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        TL_ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        record(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -49,6 +56,13 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     let before = TL_ALLOCATIONS.with(Cell::get);
     f();
     TL_ALLOCATIONS.with(Cell::get) - before
+}
+
+/// The largest single allocation `f` makes on this thread (0 for none).
+fn largest_allocation_during(f: impl FnOnce()) -> usize {
+    TL_LARGEST.with(|c| c.set(0));
+    f();
+    TL_LARGEST.with(Cell::get)
 }
 
 #[test]
@@ -76,4 +90,51 @@ fn wide_chunk_loop_does_not_allocate() {
         assert_eq!(allocs, 0, "chunk of {rounds} rounds allocated {allocs} times");
     }
     assert!(acc.rounds() > 0, "the counted chunks really ran");
+}
+
+/// A power-dependent model whose probabilities are all `p`: the chunk
+/// width follows the dagger cycle ⌊1/p⌋.
+fn uniform_model(t: &Topology, p: f64) -> FaultModel {
+    let mut m = FaultModel::new(t, &ProbabilityConfig::Uniform(p), 0);
+    m.attach_power_dependencies(t);
+    m
+}
+
+#[test]
+fn warm_drives_allocate_no_table() {
+    let t = FatTreeParams::new(4).build();
+    let spec = ApplicationSpec::k_of_n(2, 4);
+    let mut rng = Rng::new(6);
+    let plan = DeploymentPlan::random(&spec, t.hosts(), &mut rng);
+    let rounds = 6_000;
+
+    // Warm-up: the first drive creates one table slot per chunk. Cycles of
+    // ⌊1/0.0045⌋ = 222 rounds make 2 816-round chunks.
+    let mut engine = Assessor::new(&t, uniform_model(&t, 0.0045));
+    engine.assess(&spec, &plan, rounds, 1);
+    let chunks = engine.chunk_layout(rounds).len();
+    let table = engine.cache_bytes() / chunks;
+    assert_eq!(table, t.num_components() * (2_816 / 64) * 8);
+
+    let drive = |engine: &mut Assessor, seed: u64| {
+        largest_allocation_during(|| {
+            let a = engine.assess(&spec, &plan, rounds, seed);
+            assert_eq!(a.estimate.rounds, rounds as u64);
+        })
+    };
+    // A new seed (cold path: sample and collapse into the recycled slots)
+    // and a repeat of it (cached path: check the slots in place).
+    for (seed, path) in [(2u64, "cold"), (2, "cached")] {
+        let largest = drive(&mut engine, seed);
+        assert!(largest < table, "{path} drive allocated {largest} bytes (a table is {table})");
+    }
+
+    // A reseeded model with ⌊1/0.01⌋ = 100-round cycles: 2 560-round
+    // chunks, so every slot is reshaped in place within its capacity.
+    let narrower = uniform_model(&t, 0.01);
+    let largest = largest_allocation_during(|| engine.reseed(narrower));
+    assert!(largest < table, "reseed allocated {largest} bytes (a table is {table})");
+    let largest = drive(&mut engine, 3);
+    assert!(largest < table, "reshaping drive allocated {largest} bytes (a table is {table})");
+    assert_eq!(engine.cache_bytes(), chunks * t.num_components() * (2_560 / 64) * 8);
 }

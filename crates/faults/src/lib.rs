@@ -18,13 +18,14 @@
 //!    referencing the same basic events — [`tree`].
 //! 3. **The assembled [`FaultModel`]** — probabilities + dependency trees +
 //!    auxiliary (non-topology) components such as shared OS images; it
-//!    collapses raw sampled states into *effective* per-node states
-//!    wide-parallel, 256 rounds at a time — [`model`].
+//!    collapses raw sampled states into *effective* per-node states with
+//!    its trees compiled into a flat program — [`model`].
 //!
 //! A FIFL-style fault injector for tests and what-if analyses lives in
 //! [`injection`].
 
 pub mod bathtub;
+mod collapse;
 pub mod cvss;
 pub mod injection;
 pub mod model;

@@ -10,14 +10,16 @@
 //!   component fails *because of its dependencies* (§3.2.3). A component's
 //!   effective state in a round is `own sampled state OR tree(deps)`.
 //!
-//! Collapsing raw sampled states into effective states is wide-parallel
-//! (256 rounds per operation) and is one of the two hot loops of
-//! assessment; see [`FaultModel::collapse_into`].
+//! Collapsing raw sampled states into effective states is one of the two
+//! hot loops of a cold assessment; it runs the trees compiled into a flat
+//! program (see [`FaultModel::collapse_into`]).
 
+use crate::collapse::CompiledTrees;
 use crate::probability::ProbabilityConfig;
 use crate::tree::FaultTree;
 use recloud_sampling::BitMatrix;
 use recloud_topology::{ComponentId, ComponentKind, SoftwareKind, Topology};
+use std::sync::OnceLock;
 
 /// An auxiliary sampled event that is not a topology component (shared OS
 /// image, library version, room-level cooling, …).
@@ -38,6 +40,9 @@ pub struct FaultModel {
     probs: Vec<f64>,
     aux: Vec<AuxComponent>,
     trees: Vec<Option<FaultTree>>,
+    /// `trees` compiled for the collapse: built by the first collapse and
+    /// dropped by every change to the trees.
+    compiled: OnceLock<CompiledTrees>,
 }
 
 impl FaultModel {
@@ -50,6 +55,7 @@ impl FaultModel {
             probs,
             aux: Vec::new(),
             trees: vec![None; topology.num_components()],
+            compiled: OnceLock::new(),
         }
     }
 
@@ -115,6 +121,7 @@ impl FaultModel {
     pub fn set_tree(&mut self, id: ComponentId, tree: FaultTree) {
         assert!(id.index() < self.topo_components, "trees attach to topology components");
         self.trees[id.index()] = Some(tree);
+        self.compiled = OnceLock::new();
     }
 
     /// ORs another dependency tree into a component's existing tree (or
@@ -127,6 +134,7 @@ impl FaultModel {
             Some(existing) => FaultTree::or_merge(&existing, &tree),
             None => tree,
         });
+        self.compiled = OnceLock::new();
     }
 
     /// Attaches the topology's power assignment as dependency trees: every
@@ -201,11 +209,15 @@ impl FaultModel {
     }
 
     /// Collapses raw sampled event states into effective per-component
-    /// states, 256 rounds per operation: dependency trees are evaluated
-    /// over [`recloud_sampling::WideWord`]s and written directly into the
-    /// wide-aligned rows
-    /// of `out`. `out` must have `num_topology_components()` rows and the
-    /// same round count as `raw` (which makes their wide layouts match).
+    /// states, overwriting every row of `out`. `out` must have
+    /// `num_topology_components()` rows and the same round count as `raw`.
+    ///
+    /// Runs the trees compiled into a flat program, compiling them on the
+    /// first call after a change: a component whose tree is an OR of
+    /// leaves gets the OR of those raw rows, a whole row at a time; AND and
+    /// K-of-N gates run as a node program over 256-round wide words.
+    /// Round for round the result equals
+    /// [`FaultModel::effective_failed`].
     ///
     /// After this call, downstream route-and-check only ever looks at
     /// `out`: all correlated-failure reasoning has been folded in.
@@ -213,22 +225,7 @@ impl FaultModel {
         assert_eq!(raw.components(), self.num_events(), "raw matrix shape mismatch");
         assert_eq!(out.components(), self.topo_components, "out matrix shape mismatch");
         assert_eq!(raw.rounds(), out.rounds(), "round count mismatch");
-        let wides = raw.wide_words_per_row();
-        for c in 0..self.topo_components {
-            match &self.trees[c] {
-                None => {
-                    for ww in 0..wides {
-                        out.set_wide_word(c, ww, raw.wide_word(c, ww));
-                    }
-                }
-                Some(tree) => {
-                    for ww in 0..wides {
-                        let dep = tree.eval_wide(&|e: ComponentId| raw.wide_word(e.index(), ww));
-                        out.set_wide_word(c, ww, raw.wide_word(c, ww) | dep);
-                    }
-                }
-            }
-        }
+        self.compiled.get_or_init(|| CompiledTrees::compile(&self.trees)).run(raw, out);
     }
 }
 
@@ -287,6 +284,39 @@ mod tests {
                     m.effective_failed(&raw, ComponentId::from_index(c), r),
                     "component {c} round {r}"
                 );
+            }
+        }
+    }
+
+    /// K-of-N gates with 256 and more children count every failing child:
+    /// in round r the gate's first r children have failed.
+    #[test]
+    fn k_of_n_counts_past_255_children() {
+        let (t, mut m) = tiny_model();
+        let host = t.hosts()[0];
+        let units: Vec<ComponentId> = (0..300)
+            .map(|i| m.add_auxiliary(ComponentKind::CoolingUnit, &format!("unit-{i}"), 0.01))
+            .collect();
+        let rounds = 301;
+        let mut raw = BitMatrix::new(m.num_events(), rounds);
+        for r in 0..rounds {
+            for &u in &units[..r.min(units.len())] {
+                raw.set(u.index(), r);
+            }
+        }
+        for (n, k) in [(256usize, 256u32), (256, 1), (300, 255), (300, 256), (300, 299), (300, 300)]
+        {
+            let mut b = crate::FaultTreeBuilder::new();
+            let leaves = units[..n].iter().map(|&u| b.basic(u)).collect();
+            let root = b.k_of_n(k, leaves);
+            m.set_tree(host, b.build(root));
+            let mut out = BitMatrix::new(m.num_topology_components(), rounds);
+            m.collapse_into(&raw, &mut out);
+            let tree = m.tree_of(host).expect("just set");
+            for r in 0..rounds {
+                let scalar = tree.eval(&|c: ComponentId| raw.get(c.index(), r));
+                assert_eq!(scalar, r.min(n) >= k as usize, "oracle, {k} of {n}, round {r}");
+                assert_eq!(out.get(host.index(), r), scalar, "{k} of {n}, round {r}");
             }
         }
     }

@@ -12,11 +12,12 @@
 //!
 //! Gates: OR, AND and the generalization K-of-N ("fails when at least k of
 //! n children fail"; OR = 1-of-n, AND = n-of-n). Trees are DAG-shaped by
-//! construction (children must be created before their parent), evaluated
-//! either per-round or wide-parallel (256 rounds per operation; the hot
-//! path of assessment).
+//! construction (children must be created before their parent). A tree is
+//! evaluated here one round at a time, the oracle; the hot path of
+//! assessment runs the trees of a whole model compiled into a flat program
+//! (`FaultModel::collapse_into`).
 
-use recloud_sampling::{BitMatrix, WideWord};
+use recloud_sampling::BitMatrix;
 use recloud_topology::ComponentId;
 
 /// Index of a node within one [`FaultTree`].
@@ -24,7 +25,7 @@ pub type NodeId = u32;
 
 /// One fault-tree node.
 #[derive(Clone, Debug, PartialEq, Eq)]
-enum Node {
+pub(crate) enum Node {
     /// Leaf: fails exactly when the referenced component's sampled state is
     /// failed in the round under evaluation.
     Basic(ComponentId),
@@ -58,6 +59,16 @@ impl FaultTree {
     /// True if the tree is a single leaf.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    /// The root node.
+    pub(crate) fn root(&self) -> NodeId {
+        self.root
+    }
+
+    /// Node `id`.
+    pub(crate) fn node(&self, id: NodeId) -> &Node {
+        &self.nodes[id as usize]
     }
 
     /// All basic events referenced, in first-appearance order, deduplicated.
@@ -96,46 +107,6 @@ impl FaultTree {
                     }
                 }
                 false
-            }
-        }
-    }
-
-    /// Wide-parallel evaluation: computes the failure lanes of 256 rounds
-    /// at once. `wide_of(c)` returns the 256-round wide word of component
-    /// `c`'s raw sampled states. This is the assessment hot path; lane r
-    /// equals [`FaultTree::eval`] on round r's states.
-    pub fn eval_wide(&self, wide_of: &dyn Fn(ComponentId) -> WideWord) -> WideWord {
-        self.eval_node_wide(self.root, wide_of)
-    }
-
-    fn eval_node_wide(&self, id: NodeId, wide_of: &dyn Fn(ComponentId) -> WideWord) -> WideWord {
-        match &self.nodes[id as usize] {
-            Node::Basic(c) => wide_of(*c),
-            Node::Or(ch) => {
-                ch.iter().fold(WideWord::ZERO, |acc, &c| acc | self.eval_node_wide(c, wide_of))
-            }
-            Node::And(ch) => {
-                ch.iter().fold(WideWord::ONES, |acc, &c| acc & self.eval_node_wide(c, wide_of))
-            }
-            Node::KofN(k, ch) => {
-                // Bitwise thresholding: count failures per round lane.
-                let mut counts = [0u8; WideWord::LANES];
-                for &c in ch {
-                    let w = self.eval_node_wide(c, wide_of);
-                    if w.is_zero() {
-                        continue;
-                    }
-                    for (lane, count) in counts.iter_mut().enumerate() {
-                        *count += w.bit(lane) as u8;
-                    }
-                }
-                let mut out = WideWord::ZERO;
-                for (lane, &count) in counts.iter().enumerate() {
-                    if u32::from(count) >= *k {
-                        out.set_lane(lane);
-                    }
-                }
-                out
             }
         }
     }
@@ -310,28 +281,6 @@ mod tests {
         assert!(t.eval(&|_| true));
     }
 
-    /// Distinct, random-ish 256-lane failure words, one per basic event.
-    fn wide_of(x: ComponentId) -> WideWord {
-        let base = 0x9E37_79B9_7F4A_7C15u64.rotate_left(x.0 * 13) ^ (x.0 as u64 * 0x5AA5);
-        WideWord([base, base.rotate_left(17), !base, base.wrapping_mul(3)])
-    }
-
-    /// Every lane of the wide evaluation equals the scalar evaluation of
-    /// that lane's states, and the verdicts are not all alike.
-    fn assert_wide_matches_scalar(t: &FaultTree) {
-        let wide = t.eval_wide(&wide_of);
-        for lane in 0..WideWord::LANES {
-            let scalar = t.eval(&|x: ComponentId| wide_of(x).bit(lane));
-            assert_eq!(wide.bit(lane), scalar, "lane {lane}");
-        }
-        assert!(!wide.is_zero() && !wide.is_ones(), "degenerate test vector");
-    }
-
-    #[test]
-    fn wide_eval_matches_scalar_eval() {
-        assert_wide_matches_scalar(&fig5());
-    }
-
     #[test]
     fn k_of_n_gate() {
         let mut b = FaultTreeBuilder::new();
@@ -341,14 +290,6 @@ mod tests {
         assert!(!t.eval(&|x| x.0 < 2)); // 2 of 5 failed
         assert!(t.eval(&|x| x.0 < 3)); // 3 of 5 failed
         assert!(t.eval(&|_| true));
-    }
-
-    #[test]
-    fn k_of_n_wide_eval_matches_scalar() {
-        let mut b = FaultTreeBuilder::new();
-        let leaves: Vec<_> = (0..7).map(|i| b.basic(c(i))).collect();
-        let root = b.k_of_n(4, leaves);
-        assert_wide_matches_scalar(&b.build(root));
     }
 
     #[test]

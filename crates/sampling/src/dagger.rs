@@ -40,14 +40,13 @@ impl DaggerCycle {
         DaggerCycle { p, s: s.max(1) }
     }
 
-    /// Draws one dagger cycle: returns the round index (within `0..s`) in
-    /// which the component fails, or `None` if it stays alive for the whole
-    /// cycle (the draw hit the remainder section).
+    /// Draws one dagger cycle: returns the index of the subinterval the
+    /// draw hit — the round (within `0..s`) in which the component fails,
+    /// or a value `>= s` if it stays alive for the whole cycle (the draw hit
+    /// the remainder section).
     #[inline]
-    pub fn draw(&self, rng: &mut Rng) -> Option<u32> {
-        let r = rng.next_f64();
-        let idx = (r / self.p) as u32;
-        (idx < self.s).then_some(idx)
+    pub fn draw(&self, rng: &mut Rng) -> u32 {
+        (rng.next_f64() / self.p) as u32
     }
 }
 
@@ -81,10 +80,7 @@ mod tests {
         let n = 300_000;
         let mut counts = [0usize; 4]; // rounds 0..3 + remainder bucket
         for _ in 0..n {
-            match c.draw(&mut rng) {
-                Some(i) => counts[i as usize] += 1,
-                None => counts[3] += 1,
-            }
+            counts[c.draw(&mut rng).min(c.s) as usize] += 1;
         }
         for (i, &count) in counts.iter().take(3).enumerate() {
             let frac = count as f64 / n as f64;
@@ -104,7 +100,7 @@ mod tests {
         let cycles = 200_000;
         let mut failures = 0usize;
         for _ in 0..cycles {
-            if c.draw(&mut rng).is_some() {
+            if c.draw(&mut rng) < c.s {
                 failures += 1;
             }
         }

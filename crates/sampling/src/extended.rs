@@ -10,9 +10,13 @@
 //! surviving round is still covered by exactly one subinterval of mass
 //! `p_i`, so the per-round failure fraction remains `p_i` — no bias.
 //!
-//! The matrix is generated macro-cycle by macro-cycle; callers that want to
-//! bound memory sample one macro-cycle block at a time (see
-//! [`ExtendedDaggerSampler::macro_cycle`]).
+//! Where the cycles fall depends only on the probabilities and the round
+//! count, so a [`DaggerSchedule`] computes it once: each event's
+//! [`DaggerCycle`], and for each cycle length the flat list of sub-cycle
+//! windows (one per draw) that a matrix of that many rounds is cut into.
+//! Sampling then walks each event's window list, one draw per window, and
+//! sets bits without branching. The assessor keeps one schedule per fault
+//! model and reuses it for every chunk.
 
 use crate::dagger::DaggerCycle;
 use crate::rng::Rng;
@@ -23,6 +27,110 @@ use crate::Sampler;
 #[derive(Clone, Debug)]
 pub struct ExtendedDaggerSampler {
     rng: Rng,
+}
+
+/// The draw plan of extended dagger sampling for one probability vector
+/// and one round count, in draw order: events in row order; per event,
+/// macro-cycle blocks in order and the event's own cycles within a block in
+/// order. Samples are the same whether the plan is built per call or kept.
+#[derive(Clone, Debug, Default)]
+pub struct DaggerSchedule {
+    rounds: usize,
+    macro_cycle: usize,
+    /// Per event (matrix row): its cycle, `None` for an event that cannot
+    /// fail, and its range of `windows`.
+    events: Vec<ScheduledEvent>,
+    /// The windows of every distinct cycle length, list after list.
+    windows: Vec<Window>,
+    /// Range of `windows` per cycle length, indexed by the length; `(0, 0)`
+    /// until that length's list exists. Kept to reuse its storage.
+    by_len: Vec<(u32, u32)>,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct ScheduledEvent {
+    cycle: Option<DaggerCycle>,
+    windows: (u32, u32),
+}
+
+/// One draw's rounds: the draw's cycle starts at `start` and keeps its
+/// first `len` rounds (fewer than the cycle length when the macro-cycle
+/// reset or the matrix end truncates it).
+#[derive(Clone, Copy, Debug)]
+struct Window {
+    start: u32,
+    len: u32,
+}
+
+impl DaggerSchedule {
+    /// The schedule for sampling `probs` over `rounds` rounds.
+    pub fn new(probs: &[f64], rounds: usize) -> Self {
+        let mut schedule = DaggerSchedule::default();
+        schedule.rebuild(probs, |_| rounds);
+        schedule
+    }
+
+    /// Rebuilds in place for a new probability vector, reusing storage.
+    /// `width` maps the macro-cycle to the round count to plan for, so a
+    /// caller can align its chunk width to the cycles without a second
+    /// pass over the probabilities.
+    ///
+    /// # Panics
+    /// Panics if a probability exceeds 1 or the round count does not fit
+    /// in a `u32`.
+    pub fn rebuild(&mut self, probs: &[f64], width: impl FnOnce(usize) -> usize) {
+        self.events.clear();
+        self.events.reserve(probs.len());
+        let mut macro_cycle = 1;
+        for &p in probs {
+            debug_assert!((0.0..=1.0).contains(&p), "p={p} out of range");
+            let cycle = (p > 0.0).then(|| DaggerCycle::new(p));
+            macro_cycle = macro_cycle.max(cycle.map_or(0, |c| c.s as usize));
+            self.events.push(ScheduledEvent { cycle, windows: (0, 0) });
+        }
+        self.macro_cycle = macro_cycle;
+        self.rounds = width(macro_cycle);
+        let rounds = u32::try_from(self.rounds).expect("round count fits in u32");
+        let s_max = macro_cycle as u32;
+        self.windows.clear();
+        self.by_len.clear();
+        self.by_len.resize(macro_cycle + 1, (0, 0));
+        for event in &mut self.events {
+            let Some(DaggerCycle { s, .. }) = event.cycle else { continue };
+            let range = &mut self.by_len[s as usize];
+            if range.0 == range.1 && rounds > 0 {
+                let first = range_end(&self.windows);
+                for block in (0..rounds).step_by(s_max as usize) {
+                    let block_len = s_max.min(rounds - block);
+                    for sub in (0..block_len).step_by(s as usize) {
+                        self.windows
+                            .push(Window { start: block + sub, len: s.min(block_len - sub) });
+                    }
+                }
+                *range = (first, range_end(&self.windows));
+            }
+            event.windows = *range;
+        }
+    }
+
+    /// Rounds planned for.
+    pub fn rounds(&self) -> usize {
+        self.rounds
+    }
+
+    /// The longest dagger cycle among events that can fail (1 if none can).
+    pub fn macro_cycle(&self) -> usize {
+        self.macro_cycle
+    }
+
+    /// Number of events (matrix rows) planned for.
+    pub fn events(&self) -> usize {
+        self.events.len()
+    }
+}
+
+fn range_end(windows: &[Window]) -> u32 {
+    u32::try_from(windows.len()).expect("window count fits in u32")
 }
 
 impl ExtendedDaggerSampler {
@@ -67,6 +175,41 @@ impl ExtendedDaggerSampler {
             .sum();
         total / probs.len() as f64
     }
+
+    /// Samples `matrix` along a prebuilt schedule, overwriting it.
+    /// Identical to [`Sampler::sample_into`] with the probabilities the
+    /// schedule was built from.
+    ///
+    /// # Panics
+    /// Panics if the matrix shape differs from the schedule's.
+    pub fn sample_scheduled(&mut self, schedule: &DaggerSchedule, matrix: &mut BitMatrix) {
+        assert_eq!(schedule.events(), matrix.components(), "schedule and matrix disagree on rows");
+        assert_eq!(schedule.rounds(), matrix.rounds(), "schedule and matrix disagree on rounds");
+        matrix.clear();
+        for (c, event) in schedule.events.iter().enumerate() {
+            let Some(cycle) = event.cycle else { continue };
+            let (first, end) = event.windows;
+            let windows = &schedule.windows[first as usize..end as usize];
+            draw_windows(&mut self.rng, cycle, windows, matrix.row_words_mut(c));
+        }
+    }
+}
+
+/// One event's draws, one per window, into its row. A draw past its
+/// window (the cycle's remainder, or a round the truncation discarded,
+/// Fig 4) ORs in a zero bit, so the loop has no branch but its own.
+#[inline(always)]
+fn draw_windows(stream: &mut Rng, cycle: DaggerCycle, windows: &[Window], row: &mut [u64]) {
+    // A local copy keeps the stream in registers; through the reference
+    // it would be stored back after every draw.
+    let mut rng = stream.clone();
+    for w in windows {
+        let offset = cycle.draw(&mut rng);
+        let hit = offset < w.len;
+        let round = w.start + offset.min(w.len - 1);
+        row[(round / 64) as usize] |= u64::from(hit) << (round % 64);
+    }
+    *stream = rng;
 }
 
 impl Sampler for ExtendedDaggerSampler {
@@ -76,39 +219,8 @@ impl Sampler for ExtendedDaggerSampler {
             matrix.components(),
             "probability vector and matrix disagree on component count"
         );
-        matrix.clear();
-        let rounds = matrix.rounds();
-        if rounds == 0 {
-            return;
-        }
-        let s_max = Self::macro_cycle(probs);
-        for (c, &p) in probs.iter().enumerate() {
-            debug_assert!((0.0..=1.0).contains(&p), "p={p} out of range");
-            if p <= 0.0 {
-                continue;
-            }
-            let cycle = DaggerCycle::new(p);
-            let s = cycle.s as usize;
-            let mut block_start = 0;
-            while block_start < rounds {
-                // One macro-cycle: this component's own cycles, truncated at
-                // s_max (and at the matrix end).
-                let block_len = s_max.min(rounds - block_start);
-                let mut sub_start = 0;
-                while sub_start < block_len {
-                    let sub_len = s.min(block_len - sub_start);
-                    if let Some(offset) = cycle.draw(&mut self.rng) {
-                        if (offset as usize) < sub_len {
-                            matrix.set(c, block_start + sub_start + offset as usize);
-                        }
-                        // Failures drawn past the truncation are discarded
-                        // rounds (Fig 4), intentionally dropped.
-                    }
-                    sub_start += s;
-                }
-                block_start += s_max;
-            }
-        }
+        let schedule = DaggerSchedule::new(probs, matrix.rounds());
+        self.sample_scheduled(&schedule, matrix);
     }
 
     fn name(&self) -> &'static str {
@@ -186,6 +298,25 @@ mod tests {
         // Monte-Carlo equivalent would be 1.0; mixed case sits in between.
         let d2 = ExtendedDaggerSampler::draws_per_component_round(&[0.5, 0.01]);
         assert!(d2 > 0.01 && d2 < 1.0, "{d2}");
+    }
+
+    #[test]
+    fn kept_schedule_matches_per_call_sampling() {
+        // Rebuilt in place over a schedule of another shape, for a width
+        // that truncates the last macro-cycle block.
+        let probs = [0.01, 0.3, 0.0, 0.07, 0.008, 1.0];
+        let mut schedule = DaggerSchedule::new(&[0.5, 0.002, 0.1], 9_000);
+        schedule.rebuild(&probs, |s_max| s_max * 3 + 17);
+        assert_eq!((schedule.macro_cycle(), schedule.rounds(), schedule.events()), (125, 392, 6));
+        let mut kept = BitMatrix::new(probs.len(), schedule.rounds());
+        let mut per_call = BitMatrix::new(probs.len(), schedule.rounds());
+        for seed in 0..4 {
+            ExtendedDaggerSampler::seeded(seed).sample_scheduled(&schedule, &mut kept);
+            ExtendedDaggerSampler::seeded(seed).sample_into(&probs, &mut per_call);
+            assert_eq!(kept, per_call, "seed {seed}");
+        }
+        assert_eq!(kept.row(2).count_ones(), 0, "p = 0 never fails");
+        assert_eq!(kept.row(5).count_ones(), 392, "p = 1 always fails");
     }
 
     #[test]

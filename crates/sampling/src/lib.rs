@@ -50,7 +50,7 @@ pub mod wire;
 
 pub use dagger::DaggerCycle;
 pub use estimator::{ReliabilityEstimate, ResultAccumulator};
-pub use extended::ExtendedDaggerSampler;
+pub use extended::{DaggerSchedule, ExtendedDaggerSampler};
 pub use montecarlo::MonteCarloSampler;
 pub use rng::{derive_seed, normal_probability, Rng};
 pub use state::{BitMatrix, BitRow};

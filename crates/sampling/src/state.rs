@@ -89,6 +89,46 @@ impl BitMatrix {
         self.bits.fill(0);
     }
 
+    /// Makes this an all-alive `components × rounds` matrix in place,
+    /// reusing the allocation when its capacity suffices — how recycled
+    /// chunk tables follow a chunk width that changed with the model.
+    pub fn reshape(&mut self, components: usize, rounds: usize) {
+        let words_per_row = rounds.div_ceil(64).next_multiple_of(WideWord::WORDS);
+        self.bits.clear();
+        self.bits.resize(components * words_per_row, 0);
+        self.components = components;
+        self.rounds = rounds;
+        self.words_per_row = words_per_row;
+    }
+
+    /// Component `c`'s row words, padding included. Writers keep the
+    /// padding bits clear.
+    #[inline]
+    pub(crate) fn row_words_mut(&mut self, c: usize) -> &mut [u64] {
+        let start = c * self.words_per_row;
+        &mut self.bits[start..start + self.words_per_row]
+    }
+
+    /// Overwrites row `c` with the OR of rows `rows` of `src`, a whole row
+    /// at a time. `src` must have the same round count; its padding bits
+    /// are clear, so the written row's are too.
+    ///
+    /// # Panics
+    /// Panics if `rows` is empty or the round counts differ.
+    pub fn set_row_or(&mut self, c: usize, src: &BitMatrix, rows: &[u32]) {
+        assert_eq!(self.rounds, src.rounds, "round count mismatch");
+        let (&first, rest) = rows.split_first().expect("at least one source row");
+        let wpr = self.words_per_row;
+        let src_row = |r: u32| &src.bits[r as usize * wpr..(r as usize + 1) * wpr];
+        let dst = &mut self.bits[c * wpr..(c + 1) * wpr];
+        dst.copy_from_slice(src_row(first));
+        for &r in rest {
+            for (d, s) in dst.iter_mut().zip(src_row(r)) {
+                *d |= s;
+            }
+        }
+    }
+
     /// Marks component `c` failed in `round`.
     #[inline]
     pub fn set(&mut self, c: usize, round: usize) {
@@ -322,6 +362,38 @@ mod tests {
                 assert_eq!(m.wide_word(0, ww), m.wide_mask(ww));
             }
         }
+    }
+
+    #[test]
+    fn reshape_reuses_storage_and_clears() {
+        let mut m = BitMatrix::new(3, 2_816);
+        m.set(2, 2_815);
+        let capacity = m.bits.capacity();
+        m.reshape(3, 2_560);
+        assert_eq!((m.components(), m.rounds(), m.wide_words_per_row()), (3, 2_560, 10));
+        assert_eq!(m.total_failures(), 0);
+        assert_eq!(m.bits.capacity(), capacity, "shrinking keeps the allocation");
+        m.set(1, 2_559);
+        m.reshape(3, 2_816);
+        assert_eq!(m, BitMatrix::new(3, 2_816));
+    }
+
+    #[test]
+    fn set_row_or_is_rowwise_or() {
+        let mut src = BitMatrix::new(3, 300);
+        src.set(0, 1);
+        src.set(1, 299);
+        src.set(2, 1);
+        src.set(2, 64);
+        let mut out = BitMatrix::new(2, 300);
+        out.set(1, 7); // overwritten, not kept
+        out.set_row_or(1, &src, &[0, 1, 2]);
+        out.set_row_or(0, &src, &[1]);
+        for r in 0..300 {
+            assert_eq!(out.get(1, r), [1, 64, 299].contains(&r), "round {r}");
+            assert_eq!(out.get(0, r), r == 299, "round {r}");
+        }
+        assert_eq!(out.total_failures(), 4);
     }
 
     #[test]

@@ -23,6 +23,15 @@ RUSTFLAGS="-D warnings" cargo build --release --workspace --all-targets
 echo "== test suite (all workspace crates) =="
 cargo test -q --workspace
 
+echo "== equivalence tests in release =="
+# The daemon runs release builds, where integer overflow wraps silently
+# instead of panicking and debug assertions are compiled out: a per-lane
+# counter that wrapped at 256 once passed every debug run. Run the
+# kernels' equivalence tests and the pinned golden answers the way the
+# daemon is built.
+cargo test -q --release -p recloud-faults -p recloud-sampling -p recloud-assess
+cargo test -q --release --test golden
+
 echo "== benchmark build and self-test =="
 # perfbench/ is a Cargo workspace of its own, so the workspace test step
 # above never compiles it; a public-API change in crates/* could break
