@@ -12,13 +12,13 @@
 
 use crate::check::StructureChecker;
 use crate::driver::{AssessmentDriver, PartialEstimate};
+use crate::fill::{fill_in_order, FillJob, Filled, LaneGrant, PARALLEL_MIN_TABLE_BITS};
 use recloud_apps::{ApplicationSpec, DeploymentPlan};
-use recloud_faults::{FaultInjector, FaultModel};
+use recloud_faults::{FaultInjector, FaultModel, ProbabilityConfig};
 use recloud_obs::{Counter, Gauge, Histogram};
 use recloud_routing::{make_router, Router};
 use recloud_sampling::{
-    BitMatrix, DaggerSchedule, ExtendedDaggerSampler, MonteCarloSampler, ReliabilityEstimate,
-    ResultAccumulator, Sampler, WideWord,
+    BitMatrix, DaggerSchedule, ReliabilityEstimate, ResultAccumulator, WideWord,
 };
 use recloud_topology::Topology;
 use std::ops::ControlFlow;
@@ -44,7 +44,12 @@ impl SamplerKind {
     }
 }
 
-/// Per-stage wall-clock breakdown of one assessment.
+/// Per-stage time breakdown of one assessment.
+///
+/// Stage durations are CPU time summed over every chunk, whichever thread
+/// ran it: a cold drive fills chunk tables on several lanes at once, and
+/// [`crate::ParallelAssessor`] runs chunks on its workers, so the stages
+/// may add up to more than `total`, which is the caller's wall clock.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Timings {
     /// Failure-state generation (the Fig 7 quantity).
@@ -53,7 +58,7 @@ pub struct Timings {
     pub collapse: Duration,
     /// Route-and-check over all rounds, including per-round context setup.
     pub check: Duration,
-    /// End-to-end, including scratch management.
+    /// End-to-end wall clock, including scratch management.
     pub total: Duration,
 }
 
@@ -94,7 +99,8 @@ pub struct DrivenAssessment {
 /// Reusable assessment engine for one (topology, fault model) pair.
 ///
 /// Construction builds the router, the draw schedule and the raw event
-/// matrix. The first drive creates one table slot per chunk; every later
+/// matrix. The first drive creates one table slot per chunk, and the
+/// first wide cold drive one raw matrix per helper lane; every later
 /// drive — on a new seed, a reseeded model or a cached table — reuses
 /// them, so a warm engine assesses N plans without allocating anything
 /// table-sized: only the per-plan [`StructureChecker`] and the drive's
@@ -104,15 +110,16 @@ pub struct Assessor {
     model: FaultModel,
     kind: SamplerKind,
     router: Box<dyn Router + Send>,
-    /// Rounds per processing chunk; aligned to the dagger macro-cycle,
-    /// then rounded up to the kernel lane width (256), and identical for
-    /// serial and parallel execution.
-    chunk_rounds: usize,
     /// The model's extended-dagger draw plan for one chunk, rebuilt in
-    /// place by `reseed`.
+    /// place by `reseed`. Its round count is the chunk width: aligned to
+    /// the dagger macro-cycle, then rounded up to the kernel lane width
+    /// (256), and identical for serial and parallel execution.
     schedule: DaggerSchedule,
-    /// Raw sampled-event scratch, rewritten by every fresh chunk.
+    /// Raw sampled-event scratch of the calling thread, rewritten by every
+    /// fresh chunk it fills.
     raw: BitMatrix,
+    /// Raw scratch of each helper lane a cold drive has filled on.
+    helper_raws: Vec<BitMatrix>,
     /// Collapsed tables, one slot per chunk: fresh chunks collapse into
     /// them and route-and-check reads them in place.
     tables: TableCache,
@@ -154,22 +161,14 @@ impl TableCache {
         self.slots[..self.valid].iter().map(BitMatrix::bytes).sum()
     }
 
-    /// Slot `i`, shaped `components × rounds`; `i` is at most the slot
-    /// count, since chunks run in index order.
-    fn slot(&mut self, i: usize, components: usize, rounds: usize) -> &mut BitMatrix {
-        if i == self.slots.len() {
+    /// The first `chunks` slots, creating missing ones shaped
+    /// `components × rounds`; fills reshape older ones in place.
+    fn slots(&mut self, chunks: usize, components: usize, rounds: usize) -> &mut [BitMatrix] {
+        while self.slots.len() < chunks {
             self.slots.push(BitMatrix::new(components, rounds));
         }
-        shaped(&mut self.slots[i], components, rounds)
+        &mut self.slots[..chunks]
     }
-}
-
-/// `m`, reshaped in place to `components × rounds` if it has another shape.
-fn shaped(m: &mut BitMatrix, components: usize, rounds: usize) -> &mut BitMatrix {
-    if (m.components(), m.rounds()) != (components, rounds) {
-        m.reshape(components, rounds);
-    }
-    m
 }
 
 /// Cached handles into the process-wide [`recloud_obs::global()`]
@@ -186,9 +185,11 @@ struct AssessInstruments {
     assessments_total: Arc<Counter>,
     /// Current collapsed-table cache footprint of the newest engine.
     cache_bytes: Arc<Gauge>,
-    /// Current chunk storage (raw matrix + every table slot) of the newest
-    /// engine.
+    /// Current chunk storage (raw matrices + every table slot) of the
+    /// newest engine.
     arena_bytes: Arc<Gauge>,
+    /// Helper lanes granted to cold drives: whether misses ran wide.
+    fill_helpers_total: Arc<Counter>,
 }
 
 impl AssessInstruments {
@@ -199,6 +200,7 @@ impl AssessInstruments {
             assessments_total: registry.counter("assess.assessments_total"),
             cache_bytes: registry.gauge("assess.cache_bytes"),
             arena_bytes: registry.gauge("assess.arena_bytes"),
+            fill_helpers_total: registry.counter("assess.fill_helpers_total"),
         }
     }
 }
@@ -216,7 +218,7 @@ impl Assessor {
 
     /// The chunk width for a macro-cycle: macro-cycle aligned, then
     /// lane-width aligned.
-    fn chunk_width(s_max: usize) -> usize {
+    pub(crate) fn chunk_width(s_max: usize) -> usize {
         (Self::TARGET_CHUNK.div_ceil(s_max) * s_max).next_multiple_of(WideWord::LANES)
     }
 
@@ -229,14 +231,13 @@ impl Assessor {
     pub fn with_sampler(topology: &Topology, model: FaultModel, kind: SamplerKind) -> Self {
         let mut schedule = DaggerSchedule::default();
         schedule.rebuild(model.probs(), Self::chunk_width);
-        let chunk_rounds = schedule.rounds();
         Assessor {
             topology: topology.clone(),
-            raw: BitMatrix::new(model.num_events(), chunk_rounds),
+            raw: BitMatrix::new(model.num_events(), schedule.rounds()),
+            helper_raws: Vec::new(),
             model,
             kind,
             router: make_router(topology),
-            chunk_rounds,
             schedule,
             tables: TableCache::default(),
             injector: None,
@@ -273,9 +274,25 @@ impl Assessor {
             self.topology.num_components(),
             "model was built for a different topology"
         );
-        self.schedule.rebuild(model.probs(), Self::chunk_width);
-        self.chunk_rounds = self.schedule.rounds();
         self.model = model;
+        self.probabilities_changed();
+    }
+
+    /// Redraws the model's probabilities from `config` under `seed` in
+    /// place ([`FaultModel::reassign`]), keeping its dependency trees and
+    /// their compiled program, which depend on the topology alone. For a
+    /// `paper_default` engine, `reassign(&ProbabilityConfig::PaperDefault,
+    /// s)` equals `reseed(FaultModel::paper_default(topology, s))` bit for
+    /// bit without rebuilding a tree per component.
+    pub fn reassign(&mut self, config: &ProbabilityConfig, seed: u64) {
+        self.model.reassign(&self.topology, config, seed);
+        self.probabilities_changed();
+    }
+
+    /// Replans the draws for the model's probabilities and drops the
+    /// table cache, sampled under the previous ones.
+    fn probabilities_changed(&mut self) {
+        self.schedule.rebuild(self.model.probs(), Self::chunk_width);
         self.tables.valid = 0;
     }
 
@@ -291,11 +308,13 @@ impl Assessor {
         self.batched
     }
 
-    /// Bytes of all reusable chunk storage: the raw event matrix plus
-    /// every table slot, cached or awaiting reuse. Exported as the
-    /// `assess.arena_bytes` gauge.
+    /// Bytes of all reusable chunk storage: the raw event matrices (the
+    /// caller's and each helper lane's) plus every table slot, cached or
+    /// awaiting reuse. Exported as the `assess.arena_bytes` gauge.
     pub fn arena_bytes(&self) -> usize {
-        self.raw.bytes() + self.tables.slots.iter().map(BitMatrix::bytes).sum::<usize>()
+        let matrices =
+            std::iter::once(&self.raw).chain(&self.helper_raws).chain(&self.tables.slots);
+        matrices.map(BitMatrix::bytes).sum()
     }
 
     /// Bytes held by the valid cached collapsed failure-state tables of the
@@ -336,11 +355,16 @@ impl Assessor {
     /// The chunk layout for a round count: (chunk index, rounds in chunk).
     /// Shared with the parallel engine so results are execution-identical.
     pub fn chunk_layout(&self, rounds: usize) -> Vec<(u32, usize)> {
+        Self::layout(self.schedule.rounds(), rounds)
+    }
+
+    /// `rounds` cut into chunks of `chunk_rounds` (the last one shorter).
+    pub(crate) fn layout(chunk_rounds: usize, rounds: usize) -> Vec<(u32, usize)> {
         let mut out = Vec::new();
         let mut remaining = rounds;
         let mut idx = 0u32;
         while remaining > 0 {
-            let n = remaining.min(self.chunk_rounds);
+            let n = remaining.min(chunk_rounds);
             out.push((idx, n));
             remaining -= n;
             idx += 1;
@@ -371,25 +395,6 @@ impl Assessor {
         self.kind.name()
     }
 
-    /// Samples one chunk's raw event states into `raw`, which must be
-    /// shaped for one chunk of the model.
-    fn sample(
-        kind: SamplerKind,
-        schedule: &DaggerSchedule,
-        probs: &[f64],
-        chunk_seed: u64,
-        raw: &mut BitMatrix,
-    ) {
-        match kind {
-            SamplerKind::ExtendedDagger => {
-                ExtendedDaggerSampler::seeded(chunk_seed).sample_scheduled(schedule, raw)
-            }
-            SamplerKind::MonteCarlo => {
-                MonteCarloSampler::seeded(chunk_seed).sample_into(probs, raw)
-            }
-        }
-    }
-
     /// Runs one chunk of rounds, feeding verdicts into `acc`. Exposed for
     /// the parallel engine's workers. The chunk collapses into the first
     /// table slot, so no cached table survives it.
@@ -400,45 +405,28 @@ impl Assessor {
         rounds: usize,
         acc: &mut ResultAccumulator,
     ) -> Timings {
+        let width = self.schedule.rounds();
+        assert!(rounds <= width, "chunk exceeds scratch capacity");
         self.tables.valid = 0;
-        self.fresh_chunk(0, checker, chunk_seed, rounds, acc)
-    }
-
-    /// Samples, collapses into table slot `slot` and checks one chunk.
-    fn fresh_chunk(
-        &mut self,
-        slot: usize,
-        checker: &mut StructureChecker,
-        chunk_seed: u64,
-        rounds: usize,
-        acc: &mut ResultAccumulator,
-    ) -> Timings {
-        assert!(rounds <= self.chunk_rounds, "chunk exceeds scratch capacity");
-        let t0 = Instant::now();
-        // The matrices are sized for a full chunk; for a short tail chunk
-        // we sample the full width and check only the first `rounds`
-        // columns. Sampling whole chunks keeps the matrix shape fixed (no
-        // reallocation) at negligible cost.
-        let t_sample = Instant::now();
-        let raw = shaped(&mut self.raw, self.model.num_events(), self.chunk_rounds);
-        Self::sample(self.kind, &self.schedule, self.model.probs(), chunk_seed, raw);
-        if let Some(injector) = &self.injector {
-            injector.apply(raw);
-        }
-        let sampling = t_sample.elapsed();
-
-        let t_collapse = Instant::now();
-        let table = self.tables.slot(slot, self.model.num_topology_components(), self.chunk_rounds);
-        self.model.collapse_into(&self.raw, table);
-        let collapse = t_collapse.elapsed();
-
+        let job = FillJob {
+            kind: self.kind,
+            schedule: &self.schedule,
+            model: &self.model,
+            injector: self.injector.as_ref(),
+        };
+        let table = &mut self.tables.slots(1, self.model.num_topology_components(), width)[0];
+        let filled = job.fill(chunk_seed, &mut self.raw, table);
         let t_check = Instant::now();
         Self::route_and_check(self.router.as_mut(), self.batched, checker, table, rounds, acc);
-        let check = t_check.elapsed();
         // Per-chunk observability is recorded by the AssessmentDriver when
         // this chunk's result is fed back — one recording site for the
         // serial, cached-table, and parallel paths alike.
-        Timings { sampling, collapse, check, total: t0.elapsed() }
+        Timings {
+            sampling: filled.sampling,
+            collapse: filled.collapse,
+            check: t_check.elapsed(),
+            total: filled.started.elapsed(),
+        }
     }
 
     /// Assesses one deployment plan over `rounds` route-and-check rounds
@@ -461,14 +449,20 @@ impl Assessor {
         self.drive(spec, plan, rounds, seed, None, &mut |_| ControlFlow::Continue(())).assessment
     }
 
-    /// Runs the [`AssessmentDriver`] over `rounds`, executing chunks
-    /// serially (cached-table or fresh path) and yielding a
+    /// Runs the [`AssessmentDriver`] over `rounds` and yields a
     /// [`PartialEstimate`] to `on_partial` after every chunk. The drive
     /// stops early when the callback breaks or when `target_ciw` is
     /// reached (the driver's `stop_hint`); the returned assessment then
     /// covers exactly the rounds executed so far and `completed` is
     /// false. Completed drives are bit-identical to the pre-driver
     /// chunk loops for any seed.
+    ///
+    /// A cached table is route-and-checked in place. A cold drive fills
+    /// its chunk tables (sample, inject, collapse) on this thread plus
+    /// one helper thread per fill lane it is granted, when its tables
+    /// are large enough for a helper to pay off; route-and-check stays on
+    /// this thread in chunk order, so partials and early stops mean the
+    /// same on any number of lanes.
     ///
     /// # Panics
     /// Panics if `rounds` is zero.
@@ -481,46 +475,121 @@ impl Assessor {
         target_ciw: Option<f64>,
         on_partial: &mut dyn FnMut(&PartialEstimate) -> ControlFlow<()>,
     ) -> DrivenAssessment {
+        self.drive_on(spec, plan, rounds, seed, target_ciw, on_partial, None)
+    }
+
+    /// [`Assessor::drive`], filling cold chunks on exactly `lanes` lanes
+    /// when given one (whatever the table size and the host), else on
+    /// the lanes the process-wide count grants.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn drive_on(
+        &mut self,
+        spec: &ApplicationSpec,
+        plan: &DeploymentPlan,
+        rounds: usize,
+        seed: u64,
+        target_ciw: Option<f64>,
+        on_partial: &mut dyn FnMut(&PartialEstimate) -> ControlFlow<()>,
+        lanes: Option<usize>,
+    ) -> DrivenAssessment {
         assert!(rounds > 0, "cannot assess over zero rounds");
         let mut checker = StructureChecker::new(spec, plan);
         let mut driver = AssessmentDriver::new(self.chunk_layout(rounds), seed, target_ciw);
         let t0 = Instant::now();
-
-        let cached = self.tables.holds(seed, driver.chunks_total());
-        if !cached {
-            // The fresh chunks recycle the slots in index order; each is a
-            // valid table of `seed` once collapsed. An early-stopped drive
-            // thus caches the tables it did sample: tables are
-            // deterministic per (seed, chunk) and the cache-hit check
-            // requires enough chunks for the follow-up request, so a
-            // partial cache is still a correct cache.
-            self.tables.master_seed = seed;
-            self.tables.valid = 0;
-        }
-        while let Some(task) = driver.next_task() {
-            let chunk = task.chunk as usize;
+        let chunks = driver.chunks_total();
+        let cached = self.tables.holds(seed, chunks);
+        let Assessor {
+            kind,
+            router,
+            schedule,
+            model,
+            injector,
+            raw,
+            helper_raws,
+            tables,
+            batched,
+            obs,
+            ..
+        } = self;
+        // Checks chunk tables in order and feeds the driver; breaks once
+        // the drive must stop.
+        let mut check = |table: &BitMatrix, filled: Filled| {
+            let task = driver.next_task().expect("one task per chunk, in order");
             let mut local = ResultAccumulator::new();
-            let timings = if cached {
-                let t_check = Instant::now();
-                Self::route_and_check(
-                    self.router.as_mut(),
-                    self.batched,
-                    &mut checker,
-                    &self.tables.slots[chunk],
-                    task.rounds,
-                    &mut local,
-                );
-                Timings { check: t_check.elapsed(), ..Timings::default() }
-            } else {
-                let t = self.fresh_chunk(chunk, &mut checker, task.seed, task.rounds, &mut local);
-                self.tables.valid = chunk + 1;
-                t
+            let t_check = Instant::now();
+            Self::route_and_check(
+                router.as_mut(),
+                *batched,
+                &mut checker,
+                table,
+                task.rounds,
+                &mut local,
+            );
+            let check = t_check.elapsed();
+            let timings = Timings {
+                sampling: filled.sampling,
+                collapse: filled.collapse,
+                check,
+                total: filled.sampling + filled.collapse + check,
             };
-            let partial = driver.feed(task.chunk, local.rounds(), local.successes(), &timings);
+            let partial = driver.feed(
+                task.chunk,
+                local.rounds(),
+                local.successes(),
+                &timings,
+                filled.started,
+            );
             let flow = on_partial(&partial);
-            if partial.stop_hint || flow.is_break() {
-                break;
+            if partial.stop_hint {
+                ControlFlow::Break(())
+            } else {
+                flow
             }
+        };
+        if cached {
+            for table in &tables.slots[..chunks] {
+                let filled = Filled {
+                    started: Instant::now(),
+                    sampling: Duration::ZERO,
+                    collapse: Duration::ZERO,
+                };
+                if check(table, filled).is_break() {
+                    break;
+                }
+            }
+        } else {
+            let (components, width) = (model.num_topology_components(), schedule.rounds());
+            let grant = match lanes {
+                Some(lanes) => Some(LaneGrant::exactly(lanes)),
+                None if components * width >= PARALLEL_MIN_TABLE_BITS => {
+                    Some(LaneGrant::acquire(chunks - 1))
+                }
+                None => None,
+            };
+            let helpers = grant.as_ref().map_or(0, LaneGrant::helpers).min(chunks - 1);
+            if helpers > 0 {
+                obs.fill_helpers_total.add(helpers as u64);
+                if helper_raws.len() < helpers {
+                    helper_raws.resize_with(helpers, || BitMatrix::new(0, 0));
+                }
+            }
+            let job = FillJob { kind: *kind, schedule, model, injector: injector.as_ref() };
+            // Each filled slot holds a valid table of `seed`, and fills
+            // claim slots in order, so the filled slots are a prefix of
+            // the layout — cached even after an early stop: tables are
+            // deterministic per (seed, chunk) and the cache-hit check
+            // requires enough chunks for the follow-up request.
+            tables.master_seed = seed;
+            tables.valid = 0;
+            let slots = tables.slots(chunks, components, width);
+            tables.valid = fill_in_order(
+                &job,
+                seed,
+                slots,
+                raw,
+                &mut helper_raws[..helpers],
+                &mut |_, table, filled| check(table, filled),
+            );
         }
         driver.set_total(t0.elapsed());
         self.obs.total_us.record(driver.timings().total.as_micros() as u64);
@@ -541,10 +610,15 @@ impl Assessor {
     /// Figure 7 microbenchmark (no collapsing, no routing).
     pub fn sampling_time(&mut self, rounds: usize, seed: u64) -> Duration {
         let t0 = Instant::now();
-        for (chunk, _n) in self.chunk_layout(rounds) {
-            let raw = shaped(&mut self.raw, self.model.num_events(), self.chunk_rounds);
-            let (schedule, probs) = (&self.schedule, self.model.probs());
-            Self::sample(self.kind, schedule, probs, Self::chunk_seed(seed, chunk), raw);
+        let layout = self.chunk_layout(rounds);
+        let job = FillJob {
+            kind: self.kind,
+            schedule: &self.schedule,
+            model: &self.model,
+            injector: None,
+        };
+        for (chunk, _n) in layout {
+            job.sample(Self::chunk_seed(seed, chunk), &mut self.raw);
         }
         t0.elapsed()
     }
@@ -565,7 +639,6 @@ pub fn assess_once(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recloud_faults::ProbabilityConfig;
     use recloud_sampling::Rng;
     use recloud_topology::FatTreeParams;
 
@@ -804,8 +877,8 @@ mod tests {
         let rounds = 6_000;
         a.assess(&spec, &plan, rounds, 5);
         let layout = a.chunk_layout(rounds);
-        // One collapsed-matrix clone per chunk: components × chunk words.
-        let per_chunk = t.num_components() * a.chunk_rounds.div_ceil(64) * 8;
+        // One collapsed table slot per chunk: components × chunk words.
+        let per_chunk = t.num_components() * a.schedule.rounds().div_ceil(64) * 8;
         assert_eq!(a.cache_bytes(), layout.len() * per_chunk);
         // Pin the absolute footprint so searches can't silently balloon:
         // k=4 fat-tree = 36 components, chunk = 2560 rounds = 40 words
@@ -887,6 +960,135 @@ mod tests {
         assert!(hist_delta("assess.check_us") >= 2 * chunks, "both paths check per chunk");
         assert!(hist_delta("assess.total_us") >= 2);
         assert!(after.gauge("assess.cache_bytes").is_some(), "cache footprint gauge registered");
+    }
+
+    /// An engine whose tables are above the parallel-fill floor (a k = 12
+    /// fat tree: ~620 components × ~2 600-round chunks), with a fault
+    /// injector; the scalar checker when `batched` is false.
+    fn wide_engine(t: &Topology, batched: bool) -> Assessor {
+        let mut a = Assessor::new(t, FaultModel::paper_default(t, 23));
+        let mut injector = FaultInjector::new();
+        injector.fail(t.power_supplies()[1]).fail_rounds(t.hosts()[5], 100..900);
+        a.set_injector(Some(injector));
+        a.set_batched(batched);
+        a
+    }
+
+    fn drive_lanes(
+        a: &mut Assessor,
+        spec: &ApplicationSpec,
+        plan: &DeploymentPlan,
+        rounds: usize,
+        lanes: usize,
+        stop_after: Option<u32>,
+    ) -> DrivenAssessment {
+        a.drive_on(
+            spec,
+            plan,
+            rounds,
+            404,
+            None,
+            &mut |p| match stop_after {
+                Some(chunk) if p.chunk == chunk => ControlFlow::Break(()),
+                _ => ControlFlow::Continue(()),
+            },
+            Some(lanes),
+        )
+    }
+
+    fn counts(d: &DrivenAssessment) -> (u64, u64, u64) {
+        let e = d.assessment.estimate;
+        (e.successes, e.rounds, e.score.to_bits())
+    }
+
+    /// Filling cold chunks on 1, 2 or 3 lanes changes no bit: fresh and
+    /// cached drives equal the serial scalar oracle, over a layout with a
+    /// short tail chunk and an injector applied before every collapse.
+    #[test]
+    fn lanes_equal_the_serial_scalar_oracle() {
+        let t = FatTreeParams::new(12).build();
+        let spec = ApplicationSpec::k_of_n(3, 5);
+        let plan = DeploymentPlan::random(&spec, t.hosts(), &mut Rng::new(17));
+        let mut oracle = wide_engine(&t, false);
+        let rounds = 3 * oracle.schedule.rounds() + 700;
+        assert!(
+            t.num_components() * oracle.schedule.rounds() >= PARALLEL_MIN_TABLE_BITS,
+            "the model must be above the parallel-fill floor"
+        );
+        assert_eq!(oracle.chunk_layout(rounds).len(), 4);
+        assert_eq!(oracle.chunk_layout(rounds)[3].1, 700, "a tail chunk");
+        let want = counts(&drive_lanes(&mut oracle, &spec, &plan, rounds, 1, None));
+        let helpers = || recloud_obs::global().snapshot().counter("assess.fill_helpers_total");
+        let before = helpers().unwrap_or(0);
+        for lanes in [1, 2, 3] {
+            let mut a = wide_engine(&t, true);
+            let fresh = drive_lanes(&mut a, &spec, &plan, rounds, lanes, None);
+            assert!(fresh.completed);
+            assert_eq!(counts(&fresh), want, "{lanes} lanes, fresh");
+            assert!(fresh.assessment.timings.sampling > Duration::ZERO);
+            let cached = drive_lanes(&mut a, &spec, &plan, rounds, lanes, None);
+            assert_eq!(counts(&cached), want, "{lanes} lanes, cached");
+            assert_eq!(cached.assessment.timings.sampling, Duration::ZERO, "served from the cache");
+        }
+        // Other tests share the registry and only add to it.
+        assert!(helpers().unwrap_or(0) - before >= 1 + 2, "granted helpers are counted");
+    }
+
+    /// A cancel after chunk 0 covers exactly chunk 0's rounds on any lane
+    /// count; the chunks filled meanwhile are cached only as a contiguous
+    /// prefix, so same-seed follow-ups still equal the oracle bit for bit.
+    #[test]
+    fn early_stop_on_lanes_caches_only_a_filled_prefix() {
+        let t = FatTreeParams::new(12).build();
+        let spec = ApplicationSpec::k_of_n(2, 4);
+        let plan = DeploymentPlan::random(&spec, t.hosts(), &mut Rng::new(5));
+        let mut oracle = wide_engine(&t, false);
+        let rounds = 3 * oracle.schedule.rounds() + 700;
+        let first = oracle.chunk_layout(rounds)[0].1 as u64;
+        let want_first = counts(&drive_lanes(&mut oracle, &spec, &plan, first as usize, 1, None));
+        let want = counts(&drive_lanes(&mut oracle, &spec, &plan, rounds, 1, None));
+        for lanes in [1, 2, 3] {
+            let mut a = wide_engine(&t, true);
+            let cut = drive_lanes(&mut a, &spec, &plan, rounds, lanes, Some(0));
+            assert!(!cut.completed);
+            assert_eq!(cut.assessment.estimate.rounds, first, "{lanes} lanes: chunk 0 only");
+            assert_eq!(counts(&cut), want_first, "{lanes} lanes");
+            let valid = a.tables.valid;
+            assert!(valid >= 1, "{lanes} lanes: the checked chunk is cached");
+            assert_eq!(
+                a.tables.slots[..valid],
+                oracle.tables.slots[..valid],
+                "{lanes} lanes: every cached slot holds its chunk's table"
+            );
+            let prefix = drive_lanes(&mut a, &spec, &plan, first as usize, lanes, None);
+            assert_eq!(counts(&prefix), want_first, "{lanes} lanes, cached prefix");
+            assert_eq!(prefix.assessment.timings.sampling, Duration::ZERO);
+            let full = drive_lanes(&mut a, &spec, &plan, rounds, lanes, None);
+            assert_eq!(counts(&full), want, "{lanes} lanes, follow-up");
+            let again = drive_lanes(&mut a, &spec, &plan, rounds, lanes, None);
+            assert_eq!(counts(&again), want, "{lanes} lanes, cached follow-up");
+        }
+    }
+
+    /// Redrawing only the probabilities matches a freshly built engine.
+    #[test]
+    fn reassign_matches_fresh_engine_bit_for_bit() {
+        let t = FatTreeParams::new(4).build();
+        let spec = ApplicationSpec::k_of_n(2, 3);
+        let plan = DeploymentPlan::random(&spec, t.hosts(), &mut Rng::new(31));
+        let mut reused = Assessor::new(&t, FaultModel::paper_default(&t, 11));
+        reused.assess(&spec, &plan, 3_000, 11);
+        for seed in [12u64, 13, 11] {
+            reused.reassign(&ProbabilityConfig::PaperDefault, seed);
+            assert_eq!(reused.cache_bytes(), 0, "reassign must drop the stale table cache");
+            let r = reused.assess(&spec, &plan, 3_000, seed);
+            let f = assess_once(&t, FaultModel::paper_default(&t, seed), &spec, &plan, 3_000, seed);
+            assert_eq!(r.estimate.score.to_bits(), f.estimate.score.to_bits(), "seed {seed}");
+            assert_eq!(
+                (r.estimate.successes, r.estimate.rounds),
+                (f.estimate.successes, f.estimate.rounds)
+            );
+        }
     }
 
     #[test]

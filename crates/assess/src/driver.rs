@@ -12,8 +12,10 @@
 //!
 //! Three consumers drive it:
 //!
-//! - [`Assessor::drive`] (serial, fresh or cached-table) pulls tasks one
-//!   at a time and feeds each result back immediately;
+//! - [`Assessor::drive`] (fresh or cached-table) pulls tasks one at a
+//!   time and feeds each result back in chunk order as soon as it is
+//!   checked — a fresh chunk's table may have been filled on a helper
+//!   thread, but the check and the feed happen on the caller's;
 //! - [`crate::parallel::ParallelAssessor::assess`] drains `next_task`
 //!   into wire-encoded task frames up front and feeds decoded result
 //!   frames back in whatever order workers finish them — the estimate is
@@ -30,7 +32,7 @@ use crate::assessor::{Assessor, Timings};
 use recloud_obs::{Counter, Histogram, LocalHistogram};
 use recloud_sampling::{ReliabilityEstimate, ResultAccumulator};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A snapshot of the running estimate, yielded after every fed chunk.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -165,12 +167,18 @@ impl AssessmentDriver {
     /// cached-table path feeds zero sampling/collapse durations and those
     /// chunks stay out of the sampling histograms, exactly as before the
     /// driver refactor.
+    ///
+    /// `started` is when the chunk's first stage began, on whichever
+    /// thread ran it. Under a traced request the chunk's `assess.chunk`
+    /// span runs from then until this feed, so a table filled on a helper
+    /// lane ahead of its check shows where it really ran.
     pub fn feed(
         &mut self,
         chunk: u32,
         rounds: u64,
         successes: u64,
         timings: &Timings,
+        started: Instant,
     ) -> PartialEstimate {
         self.acc.push_batch(rounds, successes);
         self.timings.merge(timings);
@@ -186,7 +194,7 @@ impl AssessmentDriver {
             self.obs.rounds_batch += rounds;
             if let Some(ctx) = recloud_obs::current_span() {
                 let end_us = recloud_obs::trace::now_us();
-                let dur_us = timings.total.as_micros() as u64;
+                let dur_us = started.elapsed().as_micros() as u64;
                 recloud_obs::tracer().record(
                     ctx.trace_id,
                     ctx.span,
@@ -281,13 +289,13 @@ mod tests {
     fn partials_are_monotone_and_match_the_accumulated_totals() {
         let mut d = AssessmentDriver::new(layout(&[100, 100, 50]), 1, None);
         let t = Timings::default();
-        let p1 = d.feed(0, 100, 90, &t);
+        let p1 = d.feed(0, 100, 90, &t, Instant::now());
         assert_eq!((p1.rounds_done, p1.rounds_total), (100, 250));
         assert!(!p1.stop_hint, "no target armed");
-        let p2 = d.feed(2, 50, 50, &t); // out of order on purpose
+        let p2 = d.feed(2, 50, 50, &t, Instant::now()); // out of order on purpose
         assert_eq!(p2.rounds_done, 150);
         assert!(p2.rounds_done > p1.rounds_done);
-        let p3 = d.feed(1, 100, 100, &t);
+        let p3 = d.feed(1, 100, 100, &t, Instant::now());
         assert_eq!(p3.rounds_done, 250);
         assert!(d.is_complete());
         // The running estimate is the plain totals ratio (Eq 1).
@@ -300,15 +308,15 @@ mod tests {
     fn stop_hint_fires_exactly_when_the_target_is_reached() {
         // An all-successes stream has CIW 0 from the first chunk.
         let mut d = AssessmentDriver::new(layout(&[10, 10]), 1, Some(1e-9));
-        let p = d.feed(0, 10, 10, &Timings::default());
+        let p = d.feed(0, 10, 10, &Timings::default(), Instant::now());
         assert!(p.stop_hint);
         assert!(!d.is_complete(), "stopping early leaves the layout unfinished");
 
         // A mixed stream only reaches a loose target once n is large.
         let mut d = AssessmentDriver::new(layout(&[10, 100_000]), 1, Some(0.01));
-        let p = d.feed(0, 10, 9, &Timings::default());
+        let p = d.feed(0, 10, 9, &Timings::default(), Instant::now());
         assert!(!p.stop_hint, "10 rounds cannot satisfy a 1e-2 CIW");
-        let p = d.feed(1, 100_000, 90_000, &Timings::default());
+        let p = d.feed(1, 100_000, 90_000, &Timings::default(), Instant::now());
         assert!(p.stop_hint, "ciw {} <= 0.01", p.ciw);
     }
 
@@ -318,10 +326,10 @@ mod tests {
         let mut fwd = AssessmentDriver::new(layout(&[1000; 8]), 3, None);
         let mut rev = AssessmentDriver::new(layout(&[1000; 8]), 3, None);
         for &(c, r, s) in &chunks {
-            fwd.feed(c, r, s, &Timings::default());
+            fwd.feed(c, r, s, &Timings::default(), Instant::now());
         }
         for &(c, r, s) in chunks.iter().rev() {
-            rev.feed(c, r, s, &Timings::default());
+            rev.feed(c, r, s, &Timings::default(), Instant::now());
         }
         assert_eq!(fwd.estimate().score.to_bits(), rev.estimate().score.to_bits());
         assert_eq!(fwd.estimate().variance.to_bits(), rev.estimate().variance.to_bits());
@@ -336,8 +344,8 @@ mod tests {
             check: Duration::from_micros(2),
             total: Duration::from_micros(11),
         };
-        d.feed(0, 10, 10, &chunk_t);
-        d.feed(1, 10, 10, &chunk_t);
+        d.feed(0, 10, 10, &chunk_t, Instant::now());
+        d.feed(1, 10, 10, &chunk_t, Instant::now());
         assert_eq!(d.timings().sampling, Duration::from_micros(10));
         assert_eq!(d.timings().check, Duration::from_micros(4));
         d.set_total(Duration::from_secs(1));

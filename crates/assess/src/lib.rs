@@ -28,6 +28,7 @@ pub mod assessor;
 pub mod check;
 pub mod compare;
 pub mod driver;
+mod fill;
 pub mod fingerprint;
 pub mod ground_truth;
 pub mod indaas;

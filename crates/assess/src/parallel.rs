@@ -27,7 +27,7 @@ use recloud_apps::{ApplicationSpec, DeploymentPlan};
 use recloud_faults::FaultModel;
 use recloud_sampling::sync::{channel, scoped_workers};
 use recloud_sampling::wire::Bytes;
-use recloud_sampling::ResultAccumulator;
+use recloud_sampling::{ExtendedDaggerSampler, ResultAccumulator};
 use recloud_topology::{ComponentId, Topology};
 use std::time::{Duration, Instant};
 
@@ -37,6 +37,9 @@ pub struct ParallelAssessor {
     model: FaultModel,
     kind: SamplerKind,
     workers: usize,
+    /// Rounds per chunk: the serial engine's draw-schedule width for the
+    /// model, so both cut rounds into the same chunks.
+    chunk_rounds: usize,
     /// Route-and-check path of every worker engine: the 256-lane wide
     /// kernel by default, scalar for equivalence tests and benchmarking.
     /// Chunks are lane-width aligned (the serial engine's layout), so full
@@ -61,7 +64,15 @@ impl ParallelAssessor {
         kind: SamplerKind,
     ) -> Self {
         assert!(workers >= 1, "need at least one worker");
-        ParallelAssessor { topology: topology.clone(), model, kind, workers, batched: true }
+        let chunk_rounds = Assessor::chunk_width(ExtendedDaggerSampler::macro_cycle(model.probs()));
+        ParallelAssessor {
+            topology: topology.clone(),
+            model,
+            kind,
+            workers,
+            chunk_rounds,
+            batched: true,
+        }
     }
 
     /// Selects the batched (wide) or scalar route-and-check path in every
@@ -95,9 +106,8 @@ impl ParallelAssessor {
         // Chunk layout and seeding must match the serial engine's, so the
         // master runs the same AssessmentDriver every other path uses —
         // its task hand-out becomes the wire-encoded fan-out.
-        let probe = Assessor::with_sampler(&self.topology, self.model.clone(), self.kind);
-        let mut driver = AssessmentDriver::new(probe.chunk_layout(rounds), seed, None);
-        drop(probe);
+        let layout = Assessor::layout(self.chunk_rounds, rounds);
+        let mut driver = AssessmentDriver::new(layout, seed, None);
 
         let (task_tx, task_rx) = channel::<Bytes>();
         let (result_tx, result_rx) = channel::<Bytes>();
@@ -154,7 +164,10 @@ impl ParallelAssessor {
                 check: Duration::from_nanos(r.check_ns),
                 total: Duration::from_nanos(r.total_ns),
             };
-            driver.feed(r.chunk, r.rounds, r.successes, &timings);
+            // The frame carries no start time: backdate from the feed.
+            let fed = Instant::now();
+            let started = fed.checked_sub(timings.total).unwrap_or(fed);
+            driver.feed(r.chunk, r.rounds, r.successes, &timings, started);
         }
         // Stage timings are summed CPU time across workers; `total` is the
         // master's wall clock (what Fig 12 plots).

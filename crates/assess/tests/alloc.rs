@@ -5,9 +5,11 @@
 //! matrix at construction, table slots on first use, the checker's
 //! bit-sliced counters, the router's wide scratch), later chunks only
 //! write into memory that already exists, and later drives collapse into
-//! the table slots the previous seed left behind. A counting global
-//! allocator proves it, so the hot path cannot silently regress back to
-//! per-chunk allocation or per-drive table copies.
+//! the table slots the previous seed left behind. Above the parallel-fill
+//! floor a cold drive also fills on helper threads, whose raw scratch the
+//! engine keeps as well. A counting global allocator proves it, so the
+//! hot path cannot silently regress back to per-chunk allocation or
+//! per-drive table copies.
 
 use recloud_apps::{ApplicationSpec, DeploymentPlan};
 use recloud_assess::{Assessor, StructureChecker};
@@ -16,6 +18,8 @@ use recloud_sampling::{ResultAccumulator, Rng};
 use recloud_topology::{FatTreeParams, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 struct CountingAlloc;
 
@@ -28,9 +32,15 @@ thread_local! {
     static TL_LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
+// Largest allocation on any thread, for drives that fill on helper
+// threads. The tests take `SERIAL`, so no other test's set-up pollutes it.
+static LARGEST_ANYWHERE: AtomicUsize = AtomicUsize::new(0);
+static SERIAL: Mutex<()> = Mutex::new(());
+
 fn record(size: usize) {
     TL_ALLOCATIONS.with(|c| c.set(c.get() + 1));
     TL_LARGEST.with(|c| c.set(c.get().max(size)));
+    LARGEST_ANYWHERE.fetch_max(size, Ordering::Relaxed);
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -65,8 +75,20 @@ fn largest_allocation_during(f: impl FnOnce()) -> usize {
     TL_LARGEST.with(Cell::get)
 }
 
+/// The largest single allocation on any thread while `f` runs.
+fn largest_allocation_anywhere(f: impl FnOnce()) -> usize {
+    LARGEST_ANYWHERE.store(0, Ordering::Relaxed);
+    f();
+    LARGEST_ANYWHERE.load(Ordering::Relaxed)
+}
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[test]
 fn wide_chunk_loop_does_not_allocate() {
+    let _serial = serial();
     let t = FatTreeParams::new(4).build();
     let model = FaultModel::paper_default(&t, 11);
     let spec = ApplicationSpec::k_of_n(2, 4);
@@ -102,6 +124,7 @@ fn uniform_model(t: &Topology, p: f64) -> FaultModel {
 
 #[test]
 fn warm_drives_allocate_no_table() {
+    let _serial = serial();
     let t = FatTreeParams::new(4).build();
     let spec = ApplicationSpec::k_of_n(2, 4);
     let mut rng = Rng::new(6);
@@ -137,4 +160,43 @@ fn warm_drives_allocate_no_table() {
     let largest = drive(&mut engine, 3);
     assert!(largest < table, "reshaping drive allocated {largest} bytes (a table is {table})");
     assert_eq!(engine.cache_bytes(), chunks * t.num_components() * (2_560 / 64) * 8);
+}
+
+/// Above the parallel-fill floor (a k = 12 fat tree: ~620 components ×
+/// ~2 800-round chunks), a cold drive may fill on helper threads. Their
+/// raw scratch stays with the engine, so after a warm-up no thread
+/// allocates anything table-sized: not on a new seed, not on a cached
+/// table, not after a probabilities-only reseed.
+#[test]
+fn warm_wide_drives_allocate_no_table_on_any_thread() {
+    let _serial = serial();
+    let t = FatTreeParams::new(12).build();
+    let spec = ApplicationSpec::k_of_n(3, 5);
+    let mut rng = Rng::new(9);
+    let plan = DeploymentPlan::random(&spec, t.hosts(), &mut rng);
+    let rounds = 10_000;
+
+    let mut engine = Assessor::new(&t, FaultModel::paper_default(&t, 11));
+    engine.assess(&spec, &plan, rounds, 1);
+    let chunks = engine.chunk_layout(rounds).len();
+    assert!(chunks >= 2, "several chunks to fill");
+    let table = engine.cache_bytes() / chunks;
+    assert!(table * 8 >= 1 << 20, "a {table}-byte table is below the parallel-fill floor");
+
+    let drive = |engine: &mut Assessor, seed: u64| {
+        largest_allocation_anywhere(|| {
+            let a = engine.assess(&spec, &plan, rounds, seed);
+            assert_eq!(a.estimate.rounds, rounds as u64);
+        })
+    };
+    for (seed, path) in [(2u64, "cold"), (2, "cached")] {
+        let largest = drive(&mut engine, seed);
+        assert!(largest < table, "{path} drive allocated {largest} bytes (a table is {table})");
+    }
+    let largest = largest_allocation_anywhere(|| {
+        engine.reassign(&ProbabilityConfig::PaperDefault, 3);
+    });
+    assert!(largest < table, "reassign allocated {largest} bytes (a table is {table})");
+    let largest = drive(&mut engine, 3);
+    assert!(largest < table, "reassigned drive allocated {largest} bytes (a table is {table})");
 }

@@ -67,6 +67,26 @@ impl FaultModel {
         m
     }
 
+    /// Redraws the topology components' probabilities from `config` under
+    /// `seed`, exactly as [`FaultModel::new`] draws them. Auxiliary events
+    /// keep theirs; the dependency trees, which depend on the topology
+    /// alone, and their compiled program stay. A
+    /// [`FaultModel::paper_default`] model of any seed, redrawn with
+    /// [`ProbabilityConfig::PaperDefault`] under `seed`, equals
+    /// `paper_default(topology, seed)` bit for bit.
+    ///
+    /// # Panics
+    /// Panics if `topology` has another component count than the model's.
+    pub fn reassign(&mut self, topology: &Topology, config: &ProbabilityConfig, seed: u64) {
+        assert_eq!(
+            topology.num_components(),
+            self.topo_components,
+            "model was built for a different topology"
+        );
+        let probs = config.assign(topology, seed);
+        self.probs[..self.topo_components].copy_from_slice(&probs);
+    }
+
     /// Total number of sampled events (topology components + auxiliaries).
     pub fn num_events(&self) -> usize {
         self.probs.len()
@@ -250,6 +270,39 @@ mod tests {
             assert_eq!(has_tree, has_power, "{c}");
         }
         assert_eq!(m.num_events(), t.num_components());
+    }
+
+    /// Redrawing only the probabilities of a Medium `paper_default` model
+    /// yields that seed's `paper_default` model: the same probability
+    /// bits, trees and collapsed tables (through the kept compiled
+    /// program).
+    #[test]
+    fn reassigned_probabilities_equal_paper_default_on_medium() {
+        let t = recloud_topology::Scale::Medium.build();
+        let mut m = FaultModel::paper_default(&t, 401);
+        let mut raw = BitMatrix::new(m.num_events(), 256);
+        let mut kept = BitMatrix::new(m.num_topology_components(), 256);
+        let mut fresh = kept.clone();
+        m.collapse_into(&raw, &mut kept); // compiles the trees once
+        for seed in [402u64, 403, 404, 401] {
+            m.reassign(&t, &ProbabilityConfig::PaperDefault, seed);
+            let want = FaultModel::paper_default(&t, seed);
+            let bits = |m: &FaultModel| m.probs().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&m), bits(&want), "seed {seed}");
+            assert_eq!(m.trees, want.trees, "seed {seed}");
+            ExtendedDaggerSampler::seeded(seed).sample_into(m.probs(), &mut raw);
+            m.collapse_into(&raw, &mut kept);
+            want.collapse_into(&raw, &mut fresh);
+            assert_eq!(kept, fresh, "seed {seed}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different topology")]
+    fn reassign_rejects_foreign_topology() {
+        let (_t, mut m) = tiny_model();
+        let other = FatTreeParams::new(6).build();
+        m.reassign(&other, &ProbabilityConfig::PaperDefault, 1);
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! to a live `(Topology, Assessor)` pair. Building a topology and its
 //! fault model is far more expensive than a Tiny assessment, so engines
 //! persist across requests; when a request arrives with a different
-//! master seed, [`Assessor::reseed`] swaps the fault model in place and
-//! invalidates the table cache, which `recloud-assess` proves bit-exact
+//! master seed, [`Assessor::reassign`] redraws the model's paper-default
+//! probabilities in place — the power trees and their compiled program
+//! depend on the topology alone and stay — and invalidates the table
+//! cache, which `recloud-assess` and `recloud-faults` prove bit-exact
 //! against a freshly constructed engine. That equivalence is the serving
 //! contract: an `AssessPlan` answer must match what the CLI's
 //! `recloud assess` path computes for the same `(preset, plan, rounds,
@@ -22,7 +24,7 @@ use crate::protocol::{
 use recloud::{DeployError, ReCloud};
 use recloud_apps::{ApplicationSpec, DeploymentPlan, Requirements};
 use recloud_assess::{compare_plans, Assessor, PartialEstimate, SamplerKind};
-use recloud_faults::FaultModel;
+use recloud_faults::{FaultModel, ProbabilityConfig};
 use recloud_search::{
     ParallelSearchConfig, ParallelSearcher, ReliabilityObjective, SearchBudget, SearchConfig,
 };
@@ -112,7 +114,7 @@ impl EnginePool {
             Slot { seed, topology, assessor }
         });
         if slot.seed != seed {
-            slot.assessor.reseed(FaultModel::paper_default(&slot.topology, seed));
+            slot.assessor.reassign(&ProbabilityConfig::PaperDefault, seed);
             slot.seed = seed;
         }
         slot

@@ -1,7 +1,8 @@
 //! The placement-as-a-service daemon.
 //!
 //! Thread topology (all scoped — no detached threads; O(workers) total,
-//! independent of connection count):
+//! independent of connection count; a worker filling a cold table adds
+//! transient helpers, see [`Server::run`]):
 //!
 //! ```text
 //!                 ┌───────────────────────────────────────────┐
@@ -385,7 +386,11 @@ impl Server {
     /// Serves until shut down; blocks the calling thread (which becomes
     /// the reactor). Every admitted job completes and answers before
     /// this returns. Thread count is `workers + 1`, independent of how
-    /// many connections attach.
+    /// many connections attach, plus transient fill helpers: a worker
+    /// whose assessment misses the table cache may fill the tables on
+    /// scoped helper threads for the duration of that drive; a helper
+    /// starts only while fewer threads than `available_parallelism` fill
+    /// tables process-wide.
     pub fn run(&self) -> ServeSummary {
         let (job_tx, job_rx) = sync::channel::<Job>();
         let waker = Waker::new().expect("loopback waker pair");

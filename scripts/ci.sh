@@ -32,6 +32,15 @@ echo "== equivalence tests in release =="
 cargo test -q --release -p recloud-faults -p recloud-sampling -p recloud-assess
 cargo test -q --release --test golden
 
+echo "== equivalence tests in release, pinned to one core =="
+# A cold drive fills its chunk tables on helper threads only while the
+# process holds fewer filling threads than available_parallelism, which
+# honours CPU affinity: pinned to one core no helper is ever granted, so
+# this pass covers the one-lane fill path and the pass above (on a
+# multi-core host) the helper path. Both must give the same answers.
+taskset -c 0 cargo test -q --release -p recloud-assess
+taskset -c 0 cargo test -q --release --test golden
+
 echo "== benchmark build and self-test =="
 # perfbench/ is a Cargo workspace of its own, so the workspace test step
 # above never compiles it; a public-API change in crates/* could break
