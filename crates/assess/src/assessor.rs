@@ -5,14 +5,14 @@
 //! behind Figures 7 (sampling time), 10 and 11 (evolve+assess time per
 //! plan).
 //!
-//! Rounds are processed in blocks aligned to the extended-dagger
-//! macro-cycle so the raw state matrix stays small regardless of the total
-//! round count; the same block/chunk layout is used by the parallel engine
-//! so serial and parallel assessments are bit-identical.
+//! Rounds are processed in chunks aligned to the extended-dagger
+//! macro-cycle so each chunk's table stays small regardless of the total
+//! round count; the same chunk layout is used by the parallel engine so
+//! serial and parallel assessments are bit-identical.
 
 use crate::check::StructureChecker;
 use crate::driver::{AssessmentDriver, PartialEstimate};
-use crate::fill::{fill_in_order, FillJob, Filled, LaneGrant, PARALLEL_MIN_TABLE_BITS};
+use crate::fill::{fill_in_order, FillJob, Filled, LaneGrant, Slot, PARALLEL_MIN_TABLE_BITS};
 use recloud_apps::{ApplicationSpec, DeploymentPlan};
 use recloud_faults::{FaultInjector, FaultModel, ProbabilityConfig};
 use recloud_obs::{Counter, Gauge, Histogram};
@@ -98,13 +98,13 @@ pub struct DrivenAssessment {
 
 /// Reusable assessment engine for one (topology, fault model) pair.
 ///
-/// Construction builds the router, the draw schedule and the raw event
-/// matrix. The first drive creates one table slot per chunk, and the
-/// first wide cold drive one raw matrix per helper lane; every later
-/// drive — on a new seed, a reseeded model or a cached table — reuses
-/// them, so a warm engine assesses N plans without allocating anything
-/// table-sized: only the per-plan [`StructureChecker`] and the drive's
-/// small chunk bookkeeping.
+/// Construction builds the router and the draw schedule. The first drive
+/// creates one table slot per chunk; each fresh chunk is sampled,
+/// injected and collapsed in its slot, on whichever lane fills it. Every
+/// later drive — on a new seed, a reseeded model or a cached table —
+/// reuses the slots, so a warm engine assesses N plans without
+/// allocating anything table-sized: only the per-plan
+/// [`StructureChecker`] and the drive's small chunk bookkeeping.
 pub struct Assessor {
     topology: Topology,
     model: FaultModel,
@@ -115,13 +115,8 @@ pub struct Assessor {
     /// the dagger macro-cycle, then rounded up to the kernel lane width
     /// (256), and identical for serial and parallel execution.
     schedule: DaggerSchedule,
-    /// Raw sampled-event scratch of the calling thread, rewritten by every
-    /// fresh chunk it fills.
-    raw: BitMatrix,
-    /// Raw scratch of each helper lane a cold drive has filled on.
-    helper_raws: Vec<BitMatrix>,
-    /// Collapsed tables, one slot per chunk: fresh chunks collapse into
-    /// them and route-and-check reads them in place.
+    /// Collapsed tables, one slot per chunk: fresh chunks are sampled and
+    /// collapsed in them and route-and-check reads them in place.
     tables: TableCache,
     /// Optional fault injection applied to every sampled chunk before
     /// fault-tree collapsing — forced failures flow through the full
@@ -136,36 +131,47 @@ pub struct Assessor {
     obs: AssessInstruments,
 }
 
-/// The collapsed failure-state tables, one slot per chunk index. The first
-/// `valid` slots hold the tables of `master_seed`, which lets
-/// common-random-number searches (which assess every plan on the same
-/// table, §3.3) skip sampling and collapsing after the first plan; the
-/// failure-state table does not depend on the plan (§3.2.1), so this is a
-/// pure cache. Slots past `valid` are storage the next fresh chunks
-/// collapse into, reshaped in place when the chunk width changed.
+/// The collapsed failure-state tables, one slot per chunk index. Slot `i`
+/// holds chunk `i`'s table of `master_seed` for the rounds it records,
+/// which lets common-random-number searches (which assess every plan on
+/// the same table, §3.3) skip sampling and collapsing after the first
+/// plan; the failure-state table does not depend on the plan (§3.2.1),
+/// so this is a pure cache. A tail chunk is filled only for the rounds
+/// its drive checks, so a later drive that needs more of it refills it.
+/// Slots holding no rounds are storage the next fresh chunks fill,
+/// reshaped in place when the chunk width changed.
 #[derive(Default)]
 struct TableCache {
     master_seed: u64,
-    valid: usize,
-    slots: Vec<BitMatrix>,
+    slots: Vec<Slot>,
 }
 
 impl TableCache {
-    /// True when the first `chunks` tables of `seed` are cached.
-    fn holds(&self, seed: u64, chunks: usize) -> bool {
-        self.master_seed == seed && self.valid >= chunks
+    /// How many leading chunks of `layout` hold their rounds of `seed`.
+    fn held(&self, seed: u64, layout: &[(u32, usize)]) -> usize {
+        if seed != self.master_seed {
+            return 0;
+        }
+        layout.iter().zip(&self.slots).take_while(|(&(_, n), slot)| slot.rounds >= n).count()
     }
 
-    /// Bytes of the valid tables.
+    /// Drops every cached table.
+    fn invalidate(&mut self) {
+        for slot in &mut self.slots {
+            slot.rounds = 0;
+        }
+    }
+
+    /// Bytes of the cached tables.
     fn bytes(&self) -> usize {
-        self.slots[..self.valid].iter().map(BitMatrix::bytes).sum()
+        self.slots.iter().filter(|s| s.rounds > 0).map(|s| s.table.bytes()).sum()
     }
 
     /// The first `chunks` slots, creating missing ones shaped
-    /// `components × rounds`; fills reshape older ones in place.
-    fn slots(&mut self, chunks: usize, components: usize, rounds: usize) -> &mut [BitMatrix] {
+    /// `rows × rounds`; fills reshape older ones in place.
+    fn slots(&mut self, chunks: usize, rows: usize, rounds: usize) -> &mut [Slot] {
         while self.slots.len() < chunks {
-            self.slots.push(BitMatrix::new(components, rounds));
+            self.slots.push(Slot { table: BitMatrix::new(rows, rounds), rounds: 0 });
         }
         &mut self.slots[..chunks]
     }
@@ -185,8 +191,8 @@ struct AssessInstruments {
     assessments_total: Arc<Counter>,
     /// Current collapsed-table cache footprint of the newest engine.
     cache_bytes: Arc<Gauge>,
-    /// Current chunk storage (raw matrices + every table slot) of the
-    /// newest engine.
+    /// Current chunk storage (every table slot, cached or awaiting reuse)
+    /// of the newest engine.
     arena_bytes: Arc<Gauge>,
     /// Helper lanes granted to cold drives: whether misses ran wide.
     fill_helpers_total: Arc<Counter>,
@@ -207,7 +213,7 @@ impl AssessInstruments {
 
 impl Assessor {
     /// Target chunk size in rounds before alignment. Chosen so a
-    /// Large-scale raw matrix stays around ~10 MB while chunks remain
+    /// Large-scale chunk table stays around ~10 MB while chunks remain
     /// numerous enough for 4-way parallel speedup at 10⁴ rounds. The
     /// actual chunk width rounds this up to a dagger macro-cycle multiple
     /// and then to the kernel lane width (256), so full chunks decompose
@@ -233,8 +239,6 @@ impl Assessor {
         schedule.rebuild(model.probs(), Self::chunk_width);
         Assessor {
             topology: topology.clone(),
-            raw: BitMatrix::new(model.num_events(), schedule.rounds()),
-            helper_raws: Vec::new(),
             model,
             kind,
             router: make_router(topology),
@@ -250,7 +254,7 @@ impl Assessor {
     /// chunk. Invalidates the table cache.
     pub fn set_injector(&mut self, injector: Option<FaultInjector>) {
         self.injector = injector;
-        self.tables.valid = 0;
+        self.tables.invalidate();
     }
 
     /// Replaces the fault model, keeping the topology, router and chunk
@@ -293,7 +297,7 @@ impl Assessor {
     /// table cache, sampled under the previous ones.
     fn probabilities_changed(&mut self) {
         self.schedule.rebuild(self.model.probs(), Self::chunk_width);
-        self.tables.valid = 0;
+        self.tables.invalidate();
     }
 
     /// Selects the batched (wide, 256-rounds-per-operation) or scalar
@@ -308,13 +312,12 @@ impl Assessor {
         self.batched
     }
 
-    /// Bytes of all reusable chunk storage: the raw event matrices (the
-    /// caller's and each helper lane's) plus every table slot, cached or
-    /// awaiting reuse. Exported as the `assess.arena_bytes` gauge.
+    /// Bytes of all reusable chunk storage: every table slot, cached or
+    /// awaiting reuse. Fresh chunks are sampled into their slots, so no
+    /// other chunk-sized matrix exists. Exported as the
+    /// `assess.arena_bytes` gauge.
     pub fn arena_bytes(&self) -> usize {
-        let matrices =
-            std::iter::once(&self.raw).chain(&self.helper_raws).chain(&self.tables.slots);
-        matrices.map(BitMatrix::bytes).sum()
+        self.tables.slots.iter().map(|s| s.table.bytes()).sum()
     }
 
     /// Bytes held by the valid cached collapsed failure-state tables of the
@@ -396,7 +399,7 @@ impl Assessor {
     }
 
     /// Runs one chunk of rounds, feeding verdicts into `acc`. Exposed for
-    /// the parallel engine's workers. The chunk collapses into the first
+    /// the parallel engine's workers. The chunk is filled in the first
     /// table slot, so no cached table survives it.
     pub fn run_chunk(
         &mut self,
@@ -406,16 +409,16 @@ impl Assessor {
         acc: &mut ResultAccumulator,
     ) -> Timings {
         let width = self.schedule.rounds();
-        assert!(rounds <= width, "chunk exceeds scratch capacity");
-        self.tables.valid = 0;
+        assert!(rounds <= width, "chunk exceeds the chunk width");
+        self.tables.invalidate();
         let job = FillJob {
             kind: self.kind,
             schedule: &self.schedule,
             model: &self.model,
             injector: self.injector.as_ref(),
         };
-        let table = &mut self.tables.slots(1, self.model.num_topology_components(), width)[0];
-        let filled = job.fill(chunk_seed, &mut self.raw, table);
+        let table = &mut self.tables.slots(1, self.model.table_rows(), width)[0].table;
+        let filled = job.fill(chunk_seed, table, rounds);
         let t_check = Instant::now();
         Self::route_and_check(self.router.as_mut(), self.batched, checker, table, rounds, acc);
         // Per-chunk observability is recorded by the AssessmentDriver when
@@ -457,12 +460,13 @@ impl Assessor {
     /// false. Completed drives are bit-identical to the pre-driver
     /// chunk loops for any seed.
     ///
-    /// A cached table is route-and-checked in place. A cold drive fills
-    /// its chunk tables (sample, inject, collapse) on this thread plus
-    /// one helper thread per fill lane it is granted, when its tables
-    /// are large enough for a helper to pay off; route-and-check stays on
-    /// this thread in chunk order, so partials and early stops mean the
-    /// same on any number of lanes.
+    /// Cached chunk tables are route-and-checked in place. The chunks
+    /// from the first one not cached on are filled (sample, inject,
+    /// collapse, each in its slot) on this thread plus one helper thread
+    /// per fill lane the drive is granted, when its tables are large
+    /// enough for a helper to pay off; route-and-check stays on this
+    /// thread in chunk order, so partials and early stops mean the same on
+    /// any number of lanes.
     ///
     /// # Panics
     /// Panics if `rounds` is zero.
@@ -494,23 +498,11 @@ impl Assessor {
     ) -> DrivenAssessment {
         assert!(rounds > 0, "cannot assess over zero rounds");
         let mut checker = StructureChecker::new(spec, plan);
-        let mut driver = AssessmentDriver::new(self.chunk_layout(rounds), seed, target_ciw);
+        let layout = self.chunk_layout(rounds);
+        let mut driver = AssessmentDriver::new(layout.clone(), seed, target_ciw);
         let t0 = Instant::now();
-        let chunks = driver.chunks_total();
-        let cached = self.tables.holds(seed, chunks);
-        let Assessor {
-            kind,
-            router,
-            schedule,
-            model,
-            injector,
-            raw,
-            helper_raws,
-            tables,
-            batched,
-            obs,
-            ..
-        } = self;
+        let held = self.tables.held(seed, &layout);
+        let Assessor { kind, router, schedule, model, injector, tables, batched, obs, .. } = self;
         // Checks chunk tables in order and feeds the driver; breaks once
         // the drive must stop.
         let mut check = |table: &BitMatrix, filled: Filled| {
@@ -546,50 +538,36 @@ impl Assessor {
                 flow
             }
         };
-        if cached {
-            for table in &tables.slots[..chunks] {
-                let filled = Filled {
-                    started: Instant::now(),
-                    sampling: Duration::ZERO,
-                    collapse: Duration::ZERO,
-                };
-                if check(table, filled).is_break() {
-                    break;
-                }
-            }
-        } else {
+        let cached = tables.slots[..held].iter().try_for_each(|slot| {
+            let started = Instant::now();
+            check(
+                &slot.table,
+                Filled { started, sampling: Duration::ZERO, collapse: Duration::ZERO },
+            )
+        });
+        let to_fill = layout.len() - held;
+        if cached.is_continue() && to_fill > 0 {
             let (components, width) = (model.num_topology_components(), schedule.rounds());
             let grant = match lanes {
                 Some(lanes) => Some(LaneGrant::exactly(lanes)),
                 None if components * width >= PARALLEL_MIN_TABLE_BITS => {
-                    Some(LaneGrant::acquire(chunks - 1))
+                    Some(LaneGrant::acquire(to_fill - 1))
                 }
                 None => None,
             };
-            let helpers = grant.as_ref().map_or(0, LaneGrant::helpers).min(chunks - 1);
-            if helpers > 0 {
-                obs.fill_helpers_total.add(helpers as u64);
-                if helper_raws.len() < helpers {
-                    helper_raws.resize_with(helpers, || BitMatrix::new(0, 0));
-                }
-            }
+            let helpers = grant.as_ref().map_or(0, LaneGrant::helpers).min(to_fill - 1);
+            obs.fill_helpers_total.add(helpers as u64);
             let job = FillJob { kind: *kind, schedule, model, injector: injector.as_ref() };
-            // Each filled slot holds a valid table of `seed`, and fills
-            // claim slots in order, so the filled slots are a prefix of
-            // the layout — cached even after an early stop: tables are
-            // deterministic per (seed, chunk) and the cache-hit check
-            // requires enough chunks for the follow-up request.
-            tables.master_seed = seed;
-            tables.valid = 0;
-            let slots = tables.slots(chunks, components, width);
-            tables.valid = fill_in_order(
-                &job,
-                seed,
-                slots,
-                raw,
-                &mut helper_raws[..helpers],
-                &mut |_, table, filled| check(table, filled),
-            );
+            // Every filled slot keeps its table of `seed`, also after an
+            // early stop: tables are deterministic per (seed, chunk,
+            // rounds), and a later drive reuses only the slots that hold
+            // the rounds it needs.
+            if tables.master_seed != seed {
+                tables.invalidate();
+                tables.master_seed = seed;
+            }
+            let slots = tables.slots(layout.len(), model.table_rows(), width);
+            fill_in_order(&job, seed, &layout[held..], &mut slots[held..], helpers, &mut check);
         }
         driver.set_total(t0.elapsed());
         self.obs.total_us.record(driver.timings().total.as_micros() as u64);
@@ -607,18 +585,22 @@ impl Assessor {
     }
 
     /// Measures pure failure-state generation over `rounds` rounds — the
-    /// Figure 7 microbenchmark (no collapsing, no routing).
+    /// Figure 7 microbenchmark (no collapsing, no routing). It samples
+    /// into the first table slot, so no cached table survives it.
     pub fn sampling_time(&mut self, rounds: usize, seed: u64) -> Duration {
         let t0 = Instant::now();
         let layout = self.chunk_layout(rounds);
+        self.tables.invalidate();
+        let (rows, width) = (self.model.table_rows(), self.schedule.rounds());
+        let table = &mut self.tables.slots(1, rows, width)[0].table;
         let job = FillJob {
             kind: self.kind,
             schedule: &self.schedule,
             model: &self.model,
             injector: None,
         };
-        for (chunk, _n) in layout {
-            job.sample(Self::chunk_seed(seed, chunk), &mut self.raw);
+        for (chunk, n) in layout {
+            job.sample(Self::chunk_seed(seed, chunk), table, n);
         }
         t0.elapsed()
     }
@@ -639,6 +621,7 @@ pub fn assess_once(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ParallelAssessor;
     use recloud_sampling::Rng;
     use recloud_topology::FatTreeParams;
 
@@ -1031,14 +1014,14 @@ mod tests {
             assert_eq!(cached.assessment.timings.sampling, Duration::ZERO, "served from the cache");
         }
         // Other tests share the registry and only add to it.
-        assert!(helpers().unwrap_or(0) - before >= 1 + 2, "granted helpers are counted");
+        assert!(helpers().unwrap_or(0) - before > 2, "granted helpers are counted");
     }
 
     /// A cancel after chunk 0 covers exactly chunk 0's rounds on any lane
-    /// count; the chunks filled meanwhile are cached only as a contiguous
-    /// prefix, so same-seed follow-ups still equal the oracle bit for bit.
+    /// count; every chunk filled meanwhile is cached with the rounds it
+    /// holds, so same-seed follow-ups still equal the oracle bit for bit.
     #[test]
-    fn early_stop_on_lanes_caches_only_a_filled_prefix() {
+    fn early_stop_on_lanes_keeps_every_filled_slot() {
         let t = FatTreeParams::new(12).build();
         let spec = ApplicationSpec::k_of_n(2, 4);
         let plan = DeploymentPlan::random(&spec, t.hosts(), &mut Rng::new(5));
@@ -1053,13 +1036,13 @@ mod tests {
             assert!(!cut.completed);
             assert_eq!(cut.assessment.estimate.rounds, first, "{lanes} lanes: chunk 0 only");
             assert_eq!(counts(&cut), want_first, "{lanes} lanes");
-            let valid = a.tables.valid;
-            assert!(valid >= 1, "{lanes} lanes: the checked chunk is cached");
-            assert_eq!(
-                a.tables.slots[..valid],
-                oracle.tables.slots[..valid],
-                "{lanes} lanes: every cached slot holds its chunk's table"
-            );
+            assert!(a.tables.slots[0].rounds > 0, "{lanes} lanes: the checked chunk is cached");
+            for (i, (got, want)) in a.tables.slots.iter().zip(&oracle.tables.slots).enumerate() {
+                if got.rounds > 0 {
+                    assert_eq!(got.rounds, want.rounds, "{lanes} lanes: chunk {i}'s rounds");
+                    assert_eq!(got.table, want.table, "{lanes} lanes: chunk {i}'s table");
+                }
+            }
             let prefix = drive_lanes(&mut a, &spec, &plan, first as usize, lanes, None);
             assert_eq!(counts(&prefix), want_first, "{lanes} lanes, cached prefix");
             assert_eq!(prefix.assessment.timings.sampling, Duration::ZERO);
@@ -1067,6 +1050,63 @@ mod tests {
             assert_eq!(counts(&full), want, "{lanes} lanes, follow-up");
             let again = drive_lanes(&mut a, &spec, &plan, rounds, lanes, None);
             assert_eq!(counts(&again), want, "{lanes} lanes, cached follow-up");
+        }
+    }
+
+    /// A model whose 200-round dagger cycles make 2 816-round chunks, and a
+    /// plan that fails in a few percent of rounds: 10 000 and 11 000
+    /// rounds are both three full chunks and a tail.
+    fn tail_engine(t: &Topology) -> Assessor {
+        let mut model = FaultModel::new(t, &ProbabilityConfig::Uniform(0.005), 0);
+        model.attach_power_dependencies(t);
+        Assessor::new(t, model)
+    }
+
+    /// A tail chunk is filled only for the rounds its drive checks. On one
+    /// engine, a longer same-seed drive refills the partial tail, a
+    /// shorter one reuses it, and every answer equals a fresh engine's —
+    /// on one and two lanes, after an early stop that may leave the tail
+    /// filled past the break, and on the parallel engine.
+    #[test]
+    fn partial_tails_are_refilled_bit_for_bit() {
+        let t = FatTreeParams::new(4).build();
+        let spec = ApplicationSpec::k_of_n(5, 5);
+        let plan = DeploymentPlan::random(&spec, t.hosts(), &mut Rng::new(8));
+        let probe = tail_engine(&t);
+        assert_eq!(probe.schedule.rounds(), 2_816);
+        assert_eq!(probe.chunk_layout(10_000)[3], (3, 1_552));
+        assert_eq!(probe.chunk_layout(11_000)[3], (3, 2_552));
+        let fresh = |rounds: usize| {
+            counts(&drive_lanes(&mut tail_engine(&t), &spec, &plan, rounds, 1, None))
+        };
+        let want: Vec<_> = [10_000, 11_000, 9_000].map(fresh).into();
+        assert_ne!(want[0], want[1]);
+        let parallel = ParallelAssessor::new(&t, tail_engine(&t).model.clone(), 2);
+        for (&rounds, want) in [10_000, 11_000, 9_000].iter().zip(&want) {
+            let p = parallel.assess(&spec, &plan, rounds, 404).estimate;
+            assert_eq!((p.successes, p.rounds, p.score.to_bits()), *want, "parallel, {rounds}");
+        }
+        for lanes in [1, 2] {
+            let mut a = tail_engine(&t);
+            let mut sampled = Vec::new();
+            for (&rounds, want) in [10_000, 11_000, 9_000].iter().zip(&want) {
+                let d = drive_lanes(&mut a, &spec, &plan, rounds, lanes, None);
+                assert_eq!(counts(&d), *want, "{lanes} lanes, {rounds} rounds");
+                sampled.push(d.assessment.timings.sampling > Duration::ZERO);
+            }
+            assert_eq!(sampled, [true, true, false], "{lanes} lanes: refill, then reuse");
+            assert_eq!(a.tables.slots[3].rounds, 2_552, "{lanes} lanes: the refilled tail");
+
+            // Stopped after chunk 2: a helper may have filled the
+            // 1 552-round tail meanwhile, which 11 000 rounds must refill.
+            let mut a = tail_engine(&t);
+            let cut = drive_lanes(&mut a, &spec, &plan, 10_000, lanes, Some(2));
+            assert_eq!(cut.assessment.estimate.rounds, 3 * 2_816, "{lanes} lanes");
+            assert!(matches!(a.tables.slots[3].rounds, 0 | 1_552), "{lanes} lanes");
+            for (&rounds, want) in [11_000, 10_000, 9_000].iter().zip([want[1], want[0], want[2]]) {
+                let d = drive_lanes(&mut a, &spec, &plan, rounds, lanes, None);
+                assert_eq!(counts(&d), want, "{lanes} lanes after a stop, {rounds} rounds");
+            }
         }
     }
 

@@ -84,7 +84,10 @@ impl StructureChecker {
         wide: usize,
         n: usize,
     ) -> WideWord {
-        debug_assert!(n >= 1 && n <= WideWord::LANES, "a verdict wide word holds 1..=256 rounds");
+        debug_assert!(
+            (1..=WideWord::LANES).contains(&n),
+            "a verdict wide word holds 1..=256 rounds"
+        );
         if router.wide_native() {
             if let Some(k) = self.simple_k {
                 return self.k_of_n_wide(router, states, wide, k);

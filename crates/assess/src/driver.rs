@@ -201,8 +201,7 @@ impl AssessmentDriver {
                     "assess.chunk",
                     end_us.saturating_sub(dur_us),
                     end_us,
-                    rounds,
-                    chunk as u64,
+                    (rounds, chunk as u64),
                 );
             }
         }

@@ -1,13 +1,19 @@
 //! Filling chunk tables on idle cores.
 //!
-//! A cold drive fills one table per chunk (sample → inject → collapse)
-//! and route-and-checks it. Chunk seeds are independent (§3.2.1), so the
-//! fills may run on any thread in any order without changing a bit; only
-//! the check must see chunks in order, so that partial estimates, the
-//! driver's `stop_hint` and a stream's cancel keep their per-chunk
-//! meaning. [`fill_in_order`] therefore fills on the calling thread plus
-//! one scoped helper per granted lane, and hands the tables to the caller
-//! strictly in chunk order.
+//! A cold drive fills one table per chunk and route-and-checks it. A fill
+//! is one pass over the chunk's table slot: sample the events straight
+//! into it, apply the injector there, and collapse in place
+//! ([`FaultModel::collapse_in_place`]); no raw matrix is kept. Only the
+//! chunk's checked rounds are sampled: later draws just advance the
+//! stream, so the slot records how many rounds it holds.
+//!
+//! Chunk seeds are independent (§3.2.1), so the fills may run on any
+//! thread in any order without changing a bit; only the check must see
+//! chunks in order, so that partial estimates, the driver's `stop_hint`
+//! and a stream's cancel keep their per-chunk meaning. [`fill_in_order`]
+//! therefore fills on the calling thread plus one scoped helper per
+//! granted lane, and hands the tables to the caller strictly in chunk
+//! order.
 //!
 //! Helper lanes come from one process-wide count of filling threads,
 //! capped at the host's available parallelism: a helper is added only
@@ -17,9 +23,7 @@
 
 use crate::assessor::{Assessor, SamplerKind};
 use recloud_faults::{FaultInjector, FaultModel};
-use recloud_sampling::{
-    BitMatrix, DaggerSchedule, ExtendedDaggerSampler, MonteCarloSampler, Sampler,
-};
+use recloud_sampling::{BitMatrix, DaggerSchedule, ExtendedDaggerSampler, MonteCarloSampler};
 use std::num::NonZeroUsize;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -87,6 +91,14 @@ impl Drop for LaneGrant {
     }
 }
 
+/// One chunk's table slot and how many of its leading rounds hold the
+/// chunk's collapsed states (0 for none). Past those, the table may hold
+/// anything.
+pub(crate) struct Slot {
+    pub table: BitMatrix,
+    pub rounds: usize,
+}
+
 /// How one chunk's table was filled.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Filled {
@@ -105,81 +117,77 @@ pub(crate) struct FillJob<'a> {
 }
 
 impl FillJob<'_> {
-    /// Samples a chunk under `chunk_seed` into `raw`, applies the injector
-    /// and collapses into `table`, reshaping either in place to the
-    /// chunk's shape. A short tail chunk samples the full width too, which
-    /// keeps the shapes fixed at negligible cost; its check reads only its
-    /// rounds.
-    pub(crate) fn fill(
-        &self,
-        chunk_seed: u64,
-        raw: &mut BitMatrix,
-        table: &mut BitMatrix,
-    ) -> Filled {
+    /// Fills `table` with the collapsed states of the first `rounds`
+    /// rounds of the chunk sampled under `chunk_seed`: samples into it,
+    /// applies the injector and collapses in place. Afterwards it has one
+    /// row per topology component and the chunk width; past `rounds` it
+    /// holds partial states no check reads.
+    pub(crate) fn fill(&self, chunk_seed: u64, table: &mut BitMatrix, rounds: usize) -> Filled {
         let started = Instant::now();
-        self.sample(chunk_seed, raw);
+        self.sample(chunk_seed, table, rounds);
         if let Some(injector) = self.injector {
-            injector.apply(raw);
+            injector.apply(table);
         }
         let sampling = started.elapsed();
         let t_collapse = Instant::now();
-        let table = shaped(table, self.model.num_topology_components(), self.schedule.rounds());
-        self.model.collapse_into(raw, table);
+        self.model.collapse_in_place(table);
         Filled { started, sampling, collapse: t_collapse.elapsed() }
     }
 
-    /// Samples a chunk's raw event states under `chunk_seed` into `raw`,
-    /// reshaped in place to one chunk of the model.
-    pub(crate) fn sample(&self, chunk_seed: u64, raw: &mut BitMatrix) {
-        let raw = shaped(raw, self.model.num_events(), self.schedule.rounds());
+    /// Samples the first `rounds` rounds of a chunk's event states under
+    /// `chunk_seed` into `table`, first shaped in place to the model's
+    /// [`FaultModel::table_rows`] × the chunk width.
+    pub(crate) fn sample(&self, chunk_seed: u64, table: &mut BitMatrix, rounds: usize) {
+        let (rows, width) = (self.model.table_rows(), self.schedule.rounds());
+        if table.rounds() == width {
+            table.resize_rows(rows);
+        } else {
+            table.reshape(rows, width);
+        }
         match self.kind {
-            SamplerKind::ExtendedDagger => {
-                ExtendedDaggerSampler::seeded(chunk_seed).sample_scheduled(self.schedule, raw)
-            }
-            SamplerKind::MonteCarlo => {
-                MonteCarloSampler::seeded(chunk_seed).sample_into(self.model.probs(), raw)
-            }
+            SamplerKind::ExtendedDagger => ExtendedDaggerSampler::seeded(chunk_seed)
+                .sample_scheduled(self.schedule, table, rounds),
+            SamplerKind::MonteCarlo => MonteCarloSampler::seeded(chunk_seed).sample_prefix(
+                self.model.probs(),
+                table,
+                rounds,
+            ),
         }
     }
 }
 
-/// `m`, reshaped in place to `components × rounds` if it has another shape.
-pub(crate) fn shaped(m: &mut BitMatrix, components: usize, rounds: usize) -> &mut BitMatrix {
-    if (m.components(), m.rounds()) != (components, rounds) {
-        m.reshape(components, rounds);
-    }
-    m
-}
-
-/// Fills `tables[i]` with chunk `i`'s table of `master_seed` and hands it
-/// to `visit`, in chunk order on the calling thread, until `visit` breaks
-/// or every chunk was visited. The caller fills with `raw`; each of `helper_raws` is the
-/// scratch of one scoped helper thread. Chunks are claimed in order, and
-/// the caller fills the next unclaimed chunk whenever the one it must
-/// visit next is still being filled elsewhere. After a break, helpers
-/// finish the chunk they hold and claim no more.
+/// Fills `slots[i]` with the table of chunk `chunks[i] = (index, rounds)`
+/// of `master_seed` for those rounds and hands it to `visit`, in order on
+/// the calling thread, until `visit` breaks or every chunk was visited.
+/// The caller fills alongside `helpers` scoped helper threads. Chunks are
+/// claimed in order, and the caller fills the next unclaimed chunk
+/// whenever the one it must visit next is still being filled elsewhere.
+/// After a break, helpers finish the chunk they hold and claim no more.
 ///
-/// Returns how many leading tables hold their chunk's table: at least the
-/// visited ones, plus any filled past the break.
+/// Every filled slot records its rounds, the visited ones and any filled
+/// past the break; a slot being filled records none, so a panicking lane
+/// leaves no half-written table behind as valid.
 pub(crate) fn fill_in_order(
     job: &FillJob<'_>,
     master_seed: u64,
-    tables: &mut [BitMatrix],
-    raw: &mut BitMatrix,
-    helper_raws: &mut [BitMatrix],
-    visit: &mut dyn FnMut(usize, &BitMatrix, Filled) -> ControlFlow<()>,
-) -> usize {
-    let chunks = tables.len();
-    let queue = Mutex::new(tables.iter_mut().enumerate());
+    chunks: &[(u32, usize)],
+    slots: &mut [Slot],
+    helpers: usize,
+    visit: &mut dyn FnMut(&BitMatrix, Filled) -> ControlFlow<()>,
+) {
+    let queue = Mutex::new(chunks.iter().zip(slots.iter_mut()).enumerate());
     let claim = || queue.lock().expect("no lane panics while claiming a chunk").next();
-    let fill = |i: usize, raw: &mut BitMatrix, table: &mut BitMatrix| {
-        job.fill(Assessor::chunk_seed(master_seed, i as u32), raw, table)
+    let fill = |&(chunk, rounds): &(u32, usize), slot: &mut Slot| {
+        slot.rounds = 0;
+        let filled = job.fill(Assessor::chunk_seed(master_seed, chunk), &mut slot.table, rounds);
+        slot.rounds = rounds;
+        filled
     };
     let stop = AtomicBool::new(false);
     let (done_tx, done_rx) = mpsc::channel();
-    let mut done: Vec<Option<(&BitMatrix, Filled)>> = vec![None; chunks];
+    let mut done: Vec<Option<(&BitMatrix, Filled)>> = vec![None; chunks.len()];
     std::thread::scope(|scope| {
-        for raw in helper_raws.iter_mut() {
+        for _ in 0..helpers {
             let done_tx = done_tx.clone();
             let (claim, fill, stop) = (&claim, &fill, &stop);
             scope.spawn(move || {
@@ -196,16 +204,16 @@ pub(crate) fn fill_in_order(
                 // `stop` is a hint that publishes no data: a helper that
                 // misses it fills one more chunk, which the drive caches.
                 while !stop.load(Ordering::Relaxed) {
-                    let Some((i, table)) = claim() else { break };
-                    let filled = fill(i, raw, table);
-                    if done_tx.send((i, &*table, filled)).is_err() {
+                    let Some((i, (chunk, slot))) = claim() else { break };
+                    let filled = fill(chunk, slot);
+                    if done_tx.send((i, &slot.table, filled)).is_err() {
                         break;
                     }
                 }
             });
         }
         drop(done_tx);
-        for next in 0..chunks {
+        for next in 0..chunks.len() {
             let (table, filled) = loop {
                 for (i, table, filled) in done_rx.try_iter() {
                     done[i] = Some((table, filled));
@@ -213,9 +221,9 @@ pub(crate) fn fill_in_order(
                 if let Some(ready) = done[next].take() {
                     break ready;
                 }
-                if let Some((i, table)) = claim() {
-                    let filled = fill(i, raw, table);
-                    done[i] = Some((&*table, filled));
+                if let Some((i, (chunk, slot))) = claim() {
+                    let filled = fill(chunk, slot);
+                    done[i] = Some((&slot.table, filled));
                     continue;
                 }
                 // Chunk `next` is on a helper; wait for any helper's fill.
@@ -225,17 +233,11 @@ pub(crate) fn fill_in_order(
                 let (i, table, filled) = done_rx.recv().expect("a fill lane panicked");
                 done[i] = Some((table, filled));
             };
-            if visit(next, table, filled).is_break() {
+            if visit(table, filled).is_break() {
+                // Each helper finishes its chunk and exits.
                 stop.store(true, Ordering::Relaxed);
-                // Each helper finishes its chunk and exits; the channel
-                // closes once all have.
-                for (i, table, filled) in done_rx.iter() {
-                    done[i] = Some((table, filled));
-                }
-                let filled_past = done[next + 1..].iter().take_while(|d| d.is_some()).count();
-                return next + 1 + filled_past;
+                return;
             }
         }
-        chunks
     })
 }

@@ -128,9 +128,9 @@ impl ParallelAssessor {
                 .map(|c| c.iter().map(|&h| ComponentId(h)).collect())
                 .collect();
             let plan = DeploymentPlan::new(spec, assignments);
-            // One engine per worker: its raw matrix, table slot and
-            // router are built once here and reused for every chunk the
-            // worker drains, so steady-state workers allocate nothing.
+            // One engine per worker: its table slot and router are built
+            // once here and reused for every chunk the worker drains, so
+            // steady-state workers allocate nothing.
             let mut engine = Assessor::with_sampler(&self.topology, self.model.clone(), self.kind);
             engine.set_batched(self.batched);
             let mut checker = StructureChecker::new(spec, &plan);

@@ -1,15 +1,14 @@
-//! Arena guard: the steady-state chunk loop — sample into the raw
-//! matrix, collapse into a table slot, wide route-and-check — must be
-//! allocation-free, and a warm engine's drives must allocate nothing
-//! table-sized. After the first chunk warms every scratch buffer (the raw
-//! matrix at construction, table slots on first use, the checker's
-//! bit-sliced counters, the router's wide scratch), later chunks only
-//! write into memory that already exists, and later drives collapse into
-//! the table slots the previous seed left behind. Above the parallel-fill
-//! floor a cold drive also fills on helper threads, whose raw scratch the
-//! engine keeps as well. A counting global allocator proves it, so the
-//! hot path cannot silently regress back to per-chunk allocation or
-//! per-drive table copies.
+//! Arena guard: the steady-state chunk loop — sample into a table slot,
+//! collapse it in place, wide route-and-check — must be allocation-free,
+//! and a warm engine's drives must allocate nothing table-sized. After the
+//! first chunk warms every scratch buffer (table slots on first use, the
+//! checker's bit-sliced counters, the router's wide scratch), later chunks
+//! only write into memory that already exists, and later drives fill the
+//! table slots the previous seed left behind — on the caller's thread or
+//! on helper threads, which need no scratch of their own. The slots are
+//! the engine's whole chunk storage (`arena_bytes`). A counting global
+//! allocator proves it, so the hot path cannot silently regress back to
+//! per-chunk allocation or per-drive table copies.
 
 use recloud_apps::{ApplicationSpec, DeploymentPlan};
 use recloud_assess::{Assessor, StructureChecker};
@@ -138,6 +137,7 @@ fn warm_drives_allocate_no_table() {
     let chunks = engine.chunk_layout(rounds).len();
     let table = engine.cache_bytes() / chunks;
     assert_eq!(table, t.num_components() * (2_816 / 64) * 8);
+    assert_eq!(engine.arena_bytes(), chunks * table, "the table slots are all the storage");
 
     let drive = |engine: &mut Assessor, seed: u64| {
         largest_allocation_during(|| {
@@ -145,12 +145,21 @@ fn warm_drives_allocate_no_table() {
             assert_eq!(a.estimate.rounds, rounds as u64);
         })
     };
-    // A new seed (cold path: sample and collapse into the recycled slots)
+    // A new seed (cold path: sample and collapse in the recycled slots)
     // and a repeat of it (cached path: check the slots in place).
     for (seed, path) in [(2u64, "cold"), (2, "cached")] {
         let largest = drive(&mut engine, seed);
         assert!(largest < table, "{path} drive allocated {largest} bytes (a table is {table})");
     }
+    // 6 000 rounds end in a 368-round tail; 8 000 in a 2 368-round one,
+    // which refills the tail slot.
+    let largest = largest_allocation_during(|| {
+        let a = engine.assess(&spec, &plan, 8_000, 2);
+        assert_eq!(a.estimate.rounds, 8_000);
+        assert!(a.timings.sampling > std::time::Duration::ZERO, "the tail was refilled");
+    });
+    assert!(largest < table, "tail refill allocated {largest} bytes (a table is {table})");
+    assert_eq!(engine.arena_bytes(), chunks * table);
 
     // A reseeded model with ⌊1/0.01⌋ = 100-round cycles: 2 560-round
     // chunks, so every slot is reshaped in place within its capacity.
@@ -163,10 +172,10 @@ fn warm_drives_allocate_no_table() {
 }
 
 /// Above the parallel-fill floor (a k = 12 fat tree: ~620 components ×
-/// ~2 800-round chunks), a cold drive may fill on helper threads. Their
-/// raw scratch stays with the engine, so after a warm-up no thread
+/// ~2 800-round chunks), a cold drive may fill on helper threads. They
+/// fill the engine's slots directly, so after a warm-up no thread
 /// allocates anything table-sized: not on a new seed, not on a cached
-/// table, not after a probabilities-only reseed.
+/// table, not on a tail refill, not after a probabilities-only reseed.
 #[test]
 fn warm_wide_drives_allocate_no_table_on_any_thread() {
     let _serial = serial();
@@ -193,6 +202,15 @@ fn warm_wide_drives_allocate_no_table_on_any_thread() {
         let largest = drive(&mut engine, seed);
         assert!(largest < table, "{path} drive allocated {largest} bytes (a table is {table})");
     }
+    // As many chunks, the last one now full: the partial tail is refilled.
+    let width = engine.chunk_layout(rounds)[0].1;
+    let refill = chunks * width;
+    assert!(refill > rounds && engine.chunk_layout(refill).len() == chunks);
+    let largest = largest_allocation_anywhere(|| {
+        engine.assess(&spec, &plan, refill, 2);
+    });
+    assert!(largest < table, "tail refill allocated {largest} bytes (a table is {table})");
+    assert_eq!(engine.arena_bytes(), chunks * table, "no chunk storage beside the slots");
     let largest = largest_allocation_anywhere(|| {
         engine.reassign(&ProbabilityConfig::PaperDefault, 3);
     });

@@ -434,9 +434,8 @@ pub struct AssessBenchGroup {
     pub mad: Duration,
     /// Rounds routed-and-checked per second at the median.
     pub rounds_per_sec: f64,
-    /// Resident bytes of the engine's reusable chunk storage (raw matrix
-    /// plus every table slot) — the peak per-engine scratch footprint at
-    /// this scale.
+    /// Resident bytes of the engine's reusable chunk storage (every table
+    /// slot) — the peak per-engine scratch footprint at this scale.
     pub arena_bytes: usize,
 }
 

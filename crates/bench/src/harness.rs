@@ -195,8 +195,7 @@ pub fn median_mad(times: &mut [Duration]) -> (Duration, Duration) {
     assert!(!times.is_empty(), "no samples");
     times.sort_unstable();
     let median = midpoint(times);
-    let mut deviations: Vec<Duration> =
-        times.iter().map(|&t| if t > median { t - median } else { median - t }).collect();
+    let mut deviations: Vec<Duration> = times.iter().map(|&t| t.abs_diff(median)).collect();
     deviations.sort_unstable();
     let mad = midpoint(&deviations);
     (median, mad)

@@ -178,14 +178,14 @@ pub fn assess(p: &Parsed) -> Result<String, CliError> {
         let cadence = p.usize_or("cadence", 4)?.max(1);
         let target = p.f64_opt("target-ciw")?;
         if let Some(ciw) = target {
-            if !(ciw > 0.0) {
+            if ciw.is_nan() || ciw <= 0.0 {
                 return Err(CliError::Invalid("--target-ciw must be a positive width".into()));
             }
         }
         let mut fed = 0usize;
         let driven = assessor.drive(&spec, &plan, rounds, seed, target, &mut |partial| {
             fed += 1;
-            if fed % cadence == 0
+            if fed.is_multiple_of(cadence)
                 || partial.stop_hint
                 || partial.rounds_done == partial.rounds_total
             {
@@ -338,7 +338,7 @@ fn search_parallel(p: &Parsed, workers: usize) -> Result<String, CliError> {
     );
     if p.has("stream") {
         let mut events = events.into_inner().unwrap();
-        events.sort_by(|a, b| (a.chain, a.iteration).cmp(&(b.chain, b.iteration)));
+        events.sort_by_key(|e| (e.chain, e.iteration));
         for e in &events {
             let _ = writeln!(
                 out,
@@ -480,7 +480,7 @@ fn assess_remote(p: &Parsed) -> Result<String, CliError> {
     let connect_start = trace::now_us();
     let mut client = Client::connect(&addr)
         .map_err(|e| CliError::Invalid(format!("cannot connect to {addr}: {e}")))?;
-    tracer.record(trace_id, root, "client.connect", connect_start, trace::now_us(), 0, 0);
+    tracer.record(trace_id, root, "client.connect", connect_start, trace::now_us(), (0, 0));
     client
         .set_timeout(Some(Duration::from_secs(300)))
         .map_err(|e| CliError::Invalid(format!("set timeout: {e}")))?;
@@ -501,8 +501,7 @@ fn assess_remote(p: &Parsed) -> Result<String, CliError> {
                     "client.partial",
                     at,
                     at,
-                    partial.rounds_done,
-                    partials,
+                    (partial.rounds_done, partials),
                 );
                 let _ = writeln!(
                     out,

@@ -14,6 +14,15 @@
 //! per 256-round wide word. K-of-N gates count failing children in
 //! bit-sliced binary counters (one wide word per binary digit), so any
 //! number of children counts exactly.
+//!
+//! The collapse runs either from a raw matrix into a table of its own
+//! ([`CompiledTrees::run`]) or in place, in a chunk table that holds the
+//! raw event rows ([`CompiledTrees::run_in_place`]): each component's row
+//! ORs in its leaves' rows and its programs. Trees read raw states, so a
+//! row that is both rewritten (its component has a tree) and read as a
+//! leaf is first copied to a *shadow* row below the event rows, and its
+//! readers read the copy. Which rows need one is fixed when the trees
+//! compile; `paper_default` needs none (power supplies have no tree).
 
 use crate::tree::{FaultTree, Node, NodeId};
 use recloud_sampling::{BitMatrix, WideWord};
@@ -44,6 +53,12 @@ struct Gated {
 /// Every component's dependency tree in flat form.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct CompiledTrees {
+    /// Raw rows copied to shadow rows before an in-place collapse: shadow
+    /// `i` is row `events + i` of the table.
+    shadows: Vec<u32>,
+    /// Per event, the table row an in-place collapse reads it from: its
+    /// own row, or its shadow.
+    leaf_rows: Vec<u32>,
     /// Component `c` ORs `rows[row_ends[c - 1]..row_ends[c]]` (from 0 for
     /// `c = 0`): its own raw row first, then every leaf reachable from its
     /// tree's root through OR gates alone.
@@ -57,8 +72,9 @@ pub(crate) struct CompiledTrees {
 }
 
 impl CompiledTrees {
-    /// Compiles one tree (or none) per component.
-    pub(crate) fn compile(trees: &[Option<FaultTree>]) -> Self {
+    /// Compiles one tree (or none) per component, over `events` sampled
+    /// events.
+    pub(crate) fn compile(trees: &[Option<FaultTree>], events: usize) -> Self {
         let mut out = CompiledTrees::default();
         let mut gates = Vec::new();
         for (c, tree) in trees.iter().enumerate() {
@@ -73,7 +89,42 @@ impl CompiledTrees {
             }
             out.row_ends.push(out.rows.len() as u32);
         }
+        out.plan_shadows(events);
         out
+    }
+
+    /// Picks the rows an in-place collapse must read from a shadow: rows
+    /// of components it rewrites that some component reads as a leaf.
+    fn plan_shadows(&mut self, events: usize) {
+        let mut rewritten = vec![false; events];
+        let mut read = vec![false; events];
+        let mut start = 0;
+        for (c, &end) in self.row_ends.iter().enumerate() {
+            let leaves = &self.rows[start + 1..end as usize];
+            rewritten[c] = !leaves.is_empty();
+            for &leaf in leaves {
+                read[leaf as usize] = true;
+            }
+            start = end as usize;
+        }
+        for g in &self.gated {
+            rewritten[g.component as usize] = true;
+        }
+        for op in &self.ops {
+            if let Op::Leaf(e) = *op {
+                read[e as usize] = true;
+            }
+        }
+        self.leaf_rows = (0..events as u32).collect();
+        for e in (0..events).filter(|&e| rewritten[e] && read[e]) {
+            self.leaf_rows[e] = (events + self.shadows.len()) as u32;
+            self.shadows.push(e as u32);
+        }
+    }
+
+    /// Shadow rows an in-place collapse needs below the event rows.
+    pub(crate) fn shadow_rows(&self) -> usize {
+        self.shadows.len()
     }
 
     /// Adds the leaves under `node` reachable through OR gates to `rows`,
@@ -141,26 +192,56 @@ impl CompiledTrees {
             out.set_row_or(c, raw, &self.rows[start..end as usize]);
             start = end as usize;
         }
-        if self.gated.is_empty() {
-            return;
-        }
         let mut slots = vec![WideWord::ZERO; self.max_program];
         for g in &self.gated {
             let program = &self.ops[g.ops.0 as usize..g.ops.1 as usize];
             let c = g.component as usize;
             for ww in 0..raw.wide_words_per_row() {
-                let failed = self.eval(program, raw, ww, &mut slots);
+                let failed = self.eval(program, |e| raw.wide_word(e as usize, ww), &mut slots);
                 out.set_wide_word(c, ww, out.wide_word(c, ww) | failed);
             }
         }
     }
 
-    /// Runs one program over wide word `ww` of `raw`.
-    fn eval(&self, program: &[Op], raw: &BitMatrix, ww: usize, slots: &mut [WideWord]) -> WideWord {
+    /// Collapses `table` in place: its first `events` rows hold the raw
+    /// event states, the [`CompiledTrees::shadow_rows`] rows below them
+    /// are scratch. Afterwards each component's row holds its collapsed
+    /// states; the other rows are left for the caller to drop.
+    pub(crate) fn run_in_place(&self, table: &mut BitMatrix) {
+        let events = table.components() - self.shadows.len();
+        for (i, &e) in self.shadows.iter().enumerate() {
+            table.copy_row(e as usize, events + i);
+        }
+        let mut start = 0;
+        for (c, &end) in self.row_ends.iter().enumerate() {
+            for &leaf in &self.rows[start + 1..end as usize] {
+                table.or_row_into(c, self.leaf_rows[leaf as usize] as usize);
+            }
+            start = end as usize;
+        }
+        let mut slots = vec![WideWord::ZERO; self.max_program];
+        for g in &self.gated {
+            let program = &self.ops[g.ops.0 as usize..g.ops.1 as usize];
+            let c = g.component as usize;
+            for ww in 0..table.wide_words_per_row() {
+                let leaf = |e: u32| table.wide_word(self.leaf_rows[e as usize] as usize, ww);
+                let failed = self.eval(program, leaf, &mut slots);
+                table.set_wide_word(c, ww, table.wide_word(c, ww) | failed);
+            }
+        }
+    }
+
+    /// Runs one program over one wide word, whose leaves `leaf` reads.
+    fn eval(
+        &self,
+        program: &[Op],
+        leaf: impl Fn(u32) -> WideWord,
+        slots: &mut [WideWord],
+    ) -> WideWord {
         let args = |(a, b): (u32, u32)| &self.args[a as usize..b as usize];
         for (i, op) in program.iter().enumerate() {
             slots[i] = match *op {
-                Op::Leaf(e) => raw.wide_word(e as usize, ww),
+                Op::Leaf(e) => leaf(e),
                 Op::Or { args: a } => {
                     args(a).iter().fold(WideWord::ZERO, |acc, &s| acc | slots[s as usize])
                 }

@@ -12,7 +12,9 @@
 //!
 //! Collapsing raw sampled states into effective states is one of the two
 //! hot loops of a cold assessment; it runs the trees compiled into a flat
-//! program (see [`FaultModel::collapse_into`]).
+//! program, into a table of its own ([`FaultModel::collapse_into`]) or in
+//! place in the table the events were sampled into
+//! ([`FaultModel::collapse_in_place`]).
 
 use crate::collapse::CompiledTrees;
 use crate::probability::ProbabilityConfig;
@@ -41,7 +43,7 @@ pub struct FaultModel {
     aux: Vec<AuxComponent>,
     trees: Vec<Option<FaultTree>>,
     /// `trees` compiled for the collapse: built by the first collapse and
-    /// dropped by every change to the trees.
+    /// dropped by every change to the trees or the event count.
     compiled: OnceLock<CompiledTrees>,
 }
 
@@ -129,6 +131,7 @@ impl FaultModel {
         let id = ComponentId::from_index(self.probs.len());
         self.probs.push(p);
         self.aux.push(AuxComponent { id, kind, label: label.to_owned() });
+        self.compiled = OnceLock::new();
         id
     }
 
@@ -245,7 +248,37 @@ impl FaultModel {
         assert_eq!(raw.components(), self.num_events(), "raw matrix shape mismatch");
         assert_eq!(out.components(), self.topo_components, "out matrix shape mismatch");
         assert_eq!(raw.rounds(), out.rounds(), "round count mismatch");
-        self.compiled.get_or_init(|| CompiledTrees::compile(&self.trees)).run(raw, out);
+        self.compiled().run(raw, out);
+    }
+
+    /// Rows of a table that [`FaultModel::collapse_in_place`] collapses:
+    /// one per event — topology components first, auxiliary events at the
+    /// bottom — then the shadow rows the in-place collapse copies leaves
+    /// to (none for [`FaultModel::paper_default`]).
+    pub fn table_rows(&self) -> usize {
+        self.num_events() + self.compiled().shadow_rows()
+    }
+
+    /// Collapses raw sampled event states into effective per-component
+    /// states in the same table: `table` has
+    /// [`FaultModel::table_rows`] rows, the first
+    /// [`FaultModel::num_events`] of them sampled; the rest are scratch.
+    /// Each component's row ORs in its leaves' rows and its gate
+    /// programs. A row that is both rewritten and read as a leaf is read
+    /// from a shadow copy taken first, so the result equals
+    /// [`FaultModel::collapse_into`] of the event rows bit for bit. The
+    /// table then keeps only its `num_topology_components()` component
+    /// rows; its allocation stays.
+    pub fn collapse_in_place(&self, table: &mut BitMatrix) {
+        assert_eq!(table.components(), self.table_rows(), "table shape mismatch");
+        self.compiled().run_in_place(table);
+        table.resize_rows(self.topo_components);
+    }
+
+    /// The trees compiled for the collapse, compiled on the first call
+    /// after a change.
+    fn compiled(&self) -> &CompiledTrees {
+        self.compiled.get_or_init(|| CompiledTrees::compile(&self.trees, self.num_events()))
     }
 }
 
@@ -270,6 +303,7 @@ mod tests {
             assert_eq!(has_tree, has_power, "{c}");
         }
         assert_eq!(m.num_events(), t.num_components());
+        assert_eq!(m.table_rows(), m.num_events(), "supplies have no tree: no shadow rows");
     }
 
     /// Redrawing only the probabilities of a Medium `paper_default` model

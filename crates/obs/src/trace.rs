@@ -185,7 +185,7 @@ impl Tracer {
     /// Opens a span under `parent` (0 = root) and returns its id, or 0
     /// when the trace is unknown or tracing is off.
     pub fn start(&self, trace_id: u64, parent: u32, kind: &'static str) -> u32 {
-        self.push(trace_id, parent, kind, now_us(), 0, 0, 0)
+        self.record(trace_id, parent, kind, now_us(), 0, (0, 0))
     }
 
     /// Closes an open span, stamping its end time.
@@ -213,8 +213,10 @@ impl Tracer {
         }
     }
 
-    /// Records an already-completed span in one call (the driver's
-    /// chunk loop measures first, records after). Returns the span id.
+    /// Records an already-completed span with its `(v0, v1)` tags in one
+    /// call (the driver's chunk loop measures first, records after).
+    /// Returns the span id, or 0 when the trace is unknown or tracing is
+    /// off.
     pub fn record(
         &self,
         trace_id: u64,
@@ -222,21 +224,7 @@ impl Tracer {
         kind: &'static str,
         start_us: u64,
         end_us: u64,
-        v0: u64,
-        v1: u64,
-    ) -> u32 {
-        self.push(trace_id, parent, kind, start_us, end_us, v0, v1)
-    }
-
-    fn push(
-        &self,
-        trace_id: u64,
-        parent: u32,
-        kind: &'static str,
-        start_us: u64,
-        end_us: u64,
-        v0: u64,
-        v1: u64,
+        (v0, v1): (u64, u64),
     ) -> u32 {
         if trace_id == 0 || !crate::enabled() {
             return 0;

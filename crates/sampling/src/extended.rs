@@ -176,21 +176,38 @@ impl ExtendedDaggerSampler {
         total / probs.len() as f64
     }
 
-    /// Samples `matrix` along a prebuilt schedule, overwriting it.
-    /// Identical to [`Sampler::sample_into`] with the probabilities the
-    /// schedule was built from.
+    /// Samples the first `rounds` rounds of `matrix` along a prebuilt
+    /// schedule, overwriting one row per scheduled event; rows past those
+    /// are left as they are. A draw whose window starts at or past
+    /// `rounds` only advances the stream, so every draw made is the one a
+    /// full-width sample makes, and the stream ends in the same state.
+    /// With `rounds = matrix.rounds()` and as many rows as events this is
+    /// [`Sampler::sample_into`] with the probabilities the schedule was
+    /// built from.
     ///
     /// # Panics
-    /// Panics if the matrix shape differs from the schedule's.
-    pub fn sample_scheduled(&mut self, schedule: &DaggerSchedule, matrix: &mut BitMatrix) {
-        assert_eq!(schedule.events(), matrix.components(), "schedule and matrix disagree on rows");
+    /// Panics if the matrix has fewer rows than the schedule has events,
+    /// another round count, or fewer than `rounds` rounds.
+    pub fn sample_scheduled(
+        &mut self,
+        schedule: &DaggerSchedule,
+        matrix: &mut BitMatrix,
+        rounds: usize,
+    ) {
+        assert!(schedule.events() <= matrix.components(), "matrix has fewer rows than events");
         assert_eq!(schedule.rounds(), matrix.rounds(), "schedule and matrix disagree on rounds");
-        matrix.clear();
+        assert!(rounds <= matrix.rounds(), "{rounds} rounds exceed the matrix");
+        // `rounds` fits in u32: the schedule's round count does.
+        let limit = rounds as u32;
         for (c, event) in schedule.events.iter().enumerate() {
+            let row = matrix.row_words_mut(c);
+            row.fill(0);
             let Some(cycle) = event.cycle else { continue };
             let (first, end) = event.windows;
             let windows = &schedule.windows[first as usize..end as usize];
-            draw_windows(&mut self.rng, cycle, windows, matrix.row_words_mut(c));
+            let drawn = windows.partition_point(|w| w.start < limit);
+            draw_windows(&mut self.rng, cycle, &windows[..drawn], row);
+            self.rng.skip(windows.len() - drawn);
         }
     }
 }
@@ -220,7 +237,7 @@ impl Sampler for ExtendedDaggerSampler {
             "probability vector and matrix disagree on component count"
         );
         let schedule = DaggerSchedule::new(probs, matrix.rounds());
-        self.sample_scheduled(&schedule, matrix);
+        self.sample_scheduled(&schedule, matrix, matrix.rounds());
     }
 
     fn name(&self) -> &'static str {
@@ -311,12 +328,49 @@ mod tests {
         let mut kept = BitMatrix::new(probs.len(), schedule.rounds());
         let mut per_call = BitMatrix::new(probs.len(), schedule.rounds());
         for seed in 0..4 {
-            ExtendedDaggerSampler::seeded(seed).sample_scheduled(&schedule, &mut kept);
+            ExtendedDaggerSampler::seeded(seed).sample_scheduled(&schedule, &mut kept, 392);
             ExtendedDaggerSampler::seeded(seed).sample_into(&probs, &mut per_call);
             assert_eq!(kept, per_call, "seed {seed}");
         }
         assert_eq!(kept.row(2).count_ones(), 0, "p = 0 never fails");
         assert_eq!(kept.row(5).count_ones(), 392, "p = 1 always fails");
+    }
+
+    /// Sampling only a prefix of the rounds gives the full sample's bits
+    /// in those rounds, draws nothing whose window starts later, and
+    /// leaves the stream where the full sample does. Rows past the
+    /// schedule's events are left alone.
+    #[test]
+    fn prefix_matches_full_sample_and_stream() {
+        let probs = [0.01, 0.3, 0.0, 0.07, 0.008, 1.0];
+        let schedule = DaggerSchedule::new(&probs, 2_816);
+        let mut full = BitMatrix::new(probs.len(), 2_816);
+        let mut full_rng = ExtendedDaggerSampler::seeded(7);
+        full_rng.sample_scheduled(&schedule, &mut full, 2_816);
+        for rounds in [0usize, 1, 125, 126, 1_552, 2_815, 2_816] {
+            let mut prefix = BitMatrix::new(probs.len() + 1, 2_816);
+            prefix.set(probs.len(), 3); // a spare row, kept as it is
+            for c in 0..probs.len() {
+                prefix.set(c, 2_000); // stale bits, overwritten
+            }
+            let mut sampler = ExtendedDaggerSampler::seeded(7);
+            sampler.sample_scheduled(&schedule, &mut prefix, rounds);
+            assert!(prefix.get(probs.len(), 3), "spare row kept");
+            for c in 0..probs.len() {
+                for r in 0..rounds {
+                    assert_eq!(prefix.get(c, r), full.get(c, r), "{rounds}: event {c} round {r}");
+                }
+                // Bits past the prefix come only from windows starting
+                // inside it: at most one cycle (< 125 rounds) further.
+                let late = (rounds + 125..2_816).filter(|&r| prefix.get(c, r)).count();
+                assert_eq!(late, 0, "{rounds}: event {c} drew past its windows");
+            }
+            assert_eq!(
+                sampler.rng.next_u64(),
+                full_rng.rng.clone().next_u64(),
+                "{rounds}: the stream ends where the full sample's does"
+            );
+        }
     }
 
     #[test]

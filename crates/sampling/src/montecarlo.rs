@@ -27,6 +27,33 @@ impl MonteCarloSampler {
     pub fn from_rng(rng: Rng) -> Self {
         MonteCarloSampler { rng }
     }
+
+    /// Samples the first `rounds` rounds of `matrix`, overwriting one row
+    /// per probability; rows past those are left as they are. The draws of
+    /// later rounds only advance the stream, so every draw made is the one
+    /// a full-width sample makes, and the stream ends in the same state.
+    ///
+    /// # Panics
+    /// Panics if the matrix has fewer rows than `probs` or fewer than
+    /// `rounds` rounds.
+    pub fn sample_prefix(&mut self, probs: &[f64], matrix: &mut BitMatrix, rounds: usize) {
+        assert!(probs.len() <= matrix.components(), "matrix has fewer rows than events");
+        assert!(rounds <= matrix.rounds(), "{rounds} rounds exceed the matrix");
+        let unchecked = matrix.rounds() - rounds;
+        for (c, &p) in probs.iter().enumerate() {
+            debug_assert!((0.0..=1.0).contains(&p), "p={p} out of range");
+            matrix.row_words_mut(c).fill(0);
+            if p <= 0.0 {
+                continue;
+            }
+            for round in 0..rounds {
+                if self.rng.next_f64() < p {
+                    matrix.set(c, round);
+                }
+            }
+            self.rng.skip(unchecked);
+        }
+    }
 }
 
 impl Sampler for MonteCarloSampler {
@@ -36,19 +63,7 @@ impl Sampler for MonteCarloSampler {
             matrix.components(),
             "probability vector and matrix disagree on component count"
         );
-        matrix.clear();
-        let rounds = matrix.rounds();
-        for (c, &p) in probs.iter().enumerate() {
-            debug_assert!((0.0..=1.0).contains(&p), "p={p} out of range");
-            if p <= 0.0 {
-                continue;
-            }
-            for round in 0..rounds {
-                if self.rng.next_f64() < p {
-                    matrix.set(c, round);
-                }
-            }
-        }
+        self.sample_prefix(probs, matrix, matrix.rounds());
     }
 
     fn name(&self) -> &'static str {
@@ -103,6 +118,27 @@ mod tests {
         s.sample_into(&[1.0], &mut m);
         s.sample_into(&[0.0], &mut m);
         assert_eq!(m.total_failures(), 0);
+    }
+
+    #[test]
+    fn prefix_matches_full_sample_and_stream() {
+        let probs = [0.1, 0.0, 0.5];
+        let mut full = BitMatrix::new(3, 700);
+        let mut full_sampler = MonteCarloSampler::seeded(8);
+        full_sampler.sample_into(&probs, &mut full);
+        for rounds in [0usize, 1, 256, 699, 700] {
+            let mut prefix = BitMatrix::new(3, 700);
+            prefix.set(0, 699); // stale, overwritten
+            let mut sampler = MonteCarloSampler::seeded(8);
+            sampler.sample_prefix(&probs, &mut prefix, rounds);
+            for c in 0..3 {
+                for r in 0..700 {
+                    let want = r < rounds && full.get(c, r);
+                    assert_eq!(prefix.get(c, r), want, "{rounds}: row {c} round {r}");
+                }
+            }
+            assert_eq!(sampler.rng.next_u64(), full_sampler.rng.clone().next_u64(), "{rounds}");
+        }
     }
 
     #[test]

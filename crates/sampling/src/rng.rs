@@ -64,6 +64,16 @@ impl Rng {
         result
     }
 
+    /// Advances the stream past `draws` values without using them: the
+    /// stream afterwards is the one `draws` calls of [`Rng::next_u64`] (or
+    /// of [`Rng::next_f64`], which takes one value each) leave.
+    #[inline]
+    pub fn skip(&mut self, draws: usize) {
+        for _ in 0..draws {
+            self.next_u64();
+        }
+    }
+
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {

@@ -101,6 +101,41 @@ impl BitMatrix {
         self.words_per_row = words_per_row;
     }
 
+    /// Sets the row count to `components` in place, keeping the round
+    /// count, the kept rows' bits and the allocation when its capacity
+    /// suffices; added rows are all-alive. How a recycled chunk table
+    /// grows by the scratch rows of an in-place collapse and drops them
+    /// afterwards.
+    pub fn resize_rows(&mut self, components: usize) {
+        self.bits.resize(components * self.words_per_row, 0);
+        self.components = components;
+    }
+
+    /// Overwrites row `to` with row `from`.
+    pub fn copy_row(&mut self, from: usize, to: usize) {
+        let wpr = self.words_per_row;
+        self.bits.copy_within(from * wpr..(from + 1) * wpr, to * wpr);
+    }
+
+    /// ORs row `src` into row `dst`, a whole row at a time.
+    ///
+    /// # Panics
+    /// Panics if `src == dst`.
+    pub fn or_row_into(&mut self, dst: usize, src: usize) {
+        assert_ne!(src, dst, "a row ORed into itself is already its own OR");
+        let wpr = self.words_per_row;
+        let (dst_row, src_row) = if dst < src {
+            let (head, tail) = self.bits.split_at_mut(src * wpr);
+            (&mut head[dst * wpr..(dst + 1) * wpr], &tail[..wpr])
+        } else {
+            let (head, tail) = self.bits.split_at_mut(dst * wpr);
+            (&mut tail[..wpr], &head[src * wpr..(src + 1) * wpr])
+        };
+        for (d, s) in dst_row.iter_mut().zip(src_row) {
+            *d |= s;
+        }
+    }
+
     /// Component `c`'s row words, padding included. Writers keep the
     /// padding bits clear.
     #[inline]
@@ -376,6 +411,40 @@ mod tests {
         m.set(1, 2_559);
         m.reshape(3, 2_816);
         assert_eq!(m, BitMatrix::new(3, 2_816));
+    }
+
+    #[test]
+    fn resize_rows_keeps_rows_and_storage() {
+        let mut m = BitMatrix::new(2, 300);
+        m.set(1, 299);
+        m.resize_rows(4);
+        assert_eq!((m.components(), m.rounds()), (4, 300));
+        assert!(m.get(1, 299));
+        assert_eq!(m.total_failures(), 1, "added rows are all-alive");
+        m.set(3, 5);
+        let capacity = m.bits.capacity();
+        m.resize_rows(2);
+        assert_eq!(m.bits.capacity(), capacity, "dropping rows keeps the allocation");
+        m.resize_rows(4);
+        assert_eq!(m.total_failures(), 1, "re-added rows are all-alive again");
+    }
+
+    #[test]
+    fn copy_row_and_or_row_into_are_rowwise() {
+        let mut m = BitMatrix::new(4, 300);
+        m.set(0, 1);
+        m.set(1, 299);
+        m.set(2, 64);
+        m.copy_row(0, 3);
+        m.or_row_into(3, 1);
+        m.or_row_into(0, 2);
+        m.or_row_into(2, 3);
+        for r in 0..300 {
+            assert_eq!(m.get(3, r), [1, 299].contains(&r), "round {r}");
+            assert_eq!(m.get(0, r), [1, 64].contains(&r), "round {r}");
+            assert_eq!(m.get(2, r), [1, 64, 299].contains(&r), "round {r}");
+            assert_eq!(m.get(1, r), r == 299, "round {r}");
+        }
     }
 
     #[test]

@@ -463,7 +463,7 @@ impl<'a> Searcher<'a> {
             // per loop pass, so equal budgets cross the same boundaries —
             // the alignment the parallel rendezvous relies on.
             let every = driver.boundary_every();
-            if every != 0 && clock.iterations() % every == 0 {
+            if every != 0 && clock.iterations().is_multiple_of(every) {
                 let report = BestReport {
                     plan: best_plan.clone(),
                     measure: best_measure,

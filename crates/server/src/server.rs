@@ -439,7 +439,7 @@ impl Server {
         let n = journal_tail as usize;
         let mut events = self.obs.registry.journal().tail(n);
         events.extend(recloud_obs::global().journal().tail(n));
-        events.sort_by(|a, b| (a.ts_micros, a.seq).cmp(&(b.ts_micros, b.seq)));
+        events.sort_by_key(|e| (e.ts_micros, e.seq));
         if events.len() > n {
             events.drain(..events.len() - n);
         }
@@ -591,8 +591,7 @@ impl Server {
                     "store.append",
                     start_us,
                     trace::now_us(),
-                    ops_appended,
-                    compacted,
+                    (ops_appended, compacted),
                 );
             }
         }
@@ -610,8 +609,7 @@ impl Server {
                 "cache.lookup",
                 start_us,
                 trace::now_us(),
-                hit.is_some() as u64,
-                0,
+                (hit.is_some() as u64, 0),
             );
         }
         hit
@@ -1042,7 +1040,7 @@ impl<'a> Reactor<'a> {
         // spin the loop.
         let want_read = conn.peer_open
             && !conn.closing
-            && conn.inflight.as_ref().map_or(true, |inflight| inflight.streaming);
+            && conn.inflight.as_ref().is_none_or(|inflight| inflight.streaming);
         let want_write = conn.writable && !conn.flushed();
         if (want_read, want_write) != (conn.want_read, conn.want_write) {
             self.poller.set_interest(raw_fd(&conn.stream), conn.token, want_read, want_write);
@@ -1067,7 +1065,7 @@ impl<'a> Reactor<'a> {
     fn wants_read(&self, conn: &Conn) -> bool {
         conn.peer_open
             && !conn.closing
-            && conn.inflight.as_ref().map_or(true, |inflight| inflight.streaming)
+            && conn.inflight.as_ref().is_none_or(|inflight| inflight.streaming)
     }
 
     /// Reads whatever the socket has and advances the frame state
@@ -1460,8 +1458,7 @@ impl<'a> Reactor<'a> {
             | Request::TraceUpload { .. }
             | Request::Hello { .. } => return false,
         };
-        let streaming = matches!(kind, JobKind::StreamAssess { .. } | JobKind::StreamSearch { .. });
-        self.admit(conn, kind, cancel, streaming, traced, latency_idx, started)
+        self.admit(conn, kind, cancel, traced, latency_idx, started)
     }
 
     /// Two-level admission: the connection's tenant budget answers
@@ -1473,11 +1470,11 @@ impl<'a> Reactor<'a> {
         conn: &mut Conn,
         kind: JobKind,
         cancel: Option<Arc<AtomicBool>>,
-        streaming: bool,
         traced: Option<SpanCtx>,
         latency_idx: Option<usize>,
         started: Instant,
     ) -> bool {
+        let streaming = matches!(kind, JobKind::StreamAssess { .. } | JobKind::StreamSearch { .. });
         let tenant = self.conn_tenant(conn);
         if let Some(budget) = self.srv.config.tenant_budget {
             if tenant.inflight.get() >= budget {
@@ -1584,8 +1581,7 @@ impl<'a> Reactor<'a> {
                             "partial.emit",
                             start_us,
                             trace::now_us(),
-                            conn.writable as u64,
-                            0,
+                            (conn.writable as u64, 0),
                         );
                     }
                 }

@@ -64,14 +64,14 @@ fn traced_stream(addr: SocketAddr, trace_id: u64, request: AssessRequest) -> (Cl
     let root = tracer.start(trace_id, 0, "client.request");
     let connect_start = trace::now_us();
     let mut client = Client::connect(addr).expect("connect");
-    tracer.record(trace_id, root, "client.connect", connect_start, trace::now_us(), 0, 0);
+    tracer.record(trace_id, root, "client.connect", connect_start, trace::now_us(), (0, 0));
     client.set_trace(trace_id, root).expect("arm trace");
     let mut partials = 0u64;
     let (_a, stopped) = client
         .assess_streaming(request, 1, |p| {
             partials += 1;
             let at = trace::now_us();
-            tracer.record(trace_id, root, "client.partial", at, at, p.rounds_done, partials);
+            tracer.record(trace_id, root, "client.partial", at, at, (p.rounds_done, partials));
             ControlFlow::Continue(())
         })
         .expect("streamed assess");
@@ -274,8 +274,7 @@ fn prop_span_trees_are_well_parented_and_nested() {
                         "cache.lookup",
                         start,
                         trace::now_us(),
-                        g.any_u64(),
-                        g.any_u64(),
+                        (g.any_u64(), g.any_u64()),
                     );
                 }
                 _ => {

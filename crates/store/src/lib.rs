@@ -528,10 +528,7 @@ fn scan_segment(buf: &[u8]) -> SegmentScan {
     }
     let mut ops = Vec::new();
     let mut pos = HEADER_LEN;
-    loop {
-        let Some(frame) = buf.get(pos..pos + 4) else {
-            break;
-        };
+    while let Some(frame) = buf.get(pos..pos + 4) {
         let len = u32::from_le_bytes(frame.try_into().unwrap()) as usize;
         if len < 9 || len as u32 > MAX_RECORD_LEN || pos + 4 + len > buf.len() {
             break;

@@ -4,9 +4,9 @@
 #   scripts/ci.sh
 #
 # Mirrors what reviewers run by hand: formatting, a warnings-as-errors
-# release build of every target, the full test suite, and an explicit
-# pass of the hermetic-dependency guard (the workspace must build with
-# zero external crates).
+# release build and clippy pass over every target, the full test suite,
+# and an explicit pass of the hermetic-dependency guard (the workspace
+# must build with zero external crates).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,6 +19,9 @@ echo "== release build, warnings denied =="
 # below would then drive whatever stale `recloud`/`repro` binaries were
 # left in target/release from an earlier build.
 RUSTFLAGS="-D warnings" cargo build --release --workspace --all-targets
+
+echo "== clippy, warnings denied =="
+cargo clippy --release --workspace --all-targets -- -D warnings
 
 echo "== test suite (all workspace crates) =="
 cargo test -q --workspace
